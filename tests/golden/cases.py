@@ -1,0 +1,165 @@
+"""Golden-corpus cases: what each digest covers and how it is computed.
+
+A golden case is one deterministic run reduced to a few SHA-256 digests.
+``digests.json`` holds the committed values; ``test_golden.py``
+recomputes every case and compares field by field, and ``regenerate.py``
+rewrites the file.  A digest only changes when behaviour does, so a
+refactor that claims to be behaviour-preserving must leave the file
+untouched.
+
+Simulation cases run :func:`repro.simulate` once with a span tracer and
+an adversary observer attached (traced and untraced runs are identical,
+see ``tests/system/test_span_determinism.py``) and digest
+
+* ``result``: the :class:`~repro.system.metrics.SimulationResult`,
+* ``adversary``: every ``(kind, leaf, time)`` path access on the bus,
+* ``spans``: every span tree in the simulated-cycle clock (host wall
+  clock fields stripped),
+* ``duplications``: every :class:`~repro.obs.events.DuplicationPlaced`
+  event, in emission order.
+
+Ring ORAM cases drive :class:`~repro.oram.ring.RingOramController`
+directly on the hot read workload of ``tests/oram/test_ring.py`` and
+digest every :class:`~repro.oram.tiny.AccessResult`, the adversary
+trace, the span trees, and the final tree, stash, position map,
+``stats_*`` counters and RNG state.
+"""
+
+from __future__ import annotations
+
+from dataclasses import asdict
+from hashlib import sha256
+from random import Random
+
+from repro.mem.dram import DramConfig
+from repro.obs.events import DuplicationPlaced, EventBus
+from repro.obs.spans import SpanTracer
+from repro.oram.config import OramConfig
+from repro.oram.ring import RingConfig, RingOramController
+from repro.security.adversary import AccessPatternObserver
+from repro.serialize import canonical_json, stable_hash
+from repro.system.config import SystemConfig
+from repro.system.simulator import simulate
+
+SIM_REQUESTS = 10_000
+SIM_WORKLOADS = ("h264ref", "mcf")
+
+
+def _sim_configs() -> dict[str, SystemConfig]:
+    """Scheme configurations at the default geometry (L=14)."""
+    secure = SystemConfig.static(4, oram=OramConfig(integrity=True))
+    return {
+        "tiny": SystemConfig.tiny(),
+        "rd-dup": SystemConfig.rd_dup(),
+        "hd-dup": SystemConfig.hd_dup(),
+        "static-4": SystemConfig.static(4),
+        "dynamic-3": SystemConfig.dynamic(3),
+        "dynamic-3-tp800": SystemConfig.dynamic(3).with_timing_protection(800.0),
+        "static-4-integrity-tp800": secure.with_timing_protection(800.0),
+    }
+
+
+SIM_CASES = {
+    f"{scheme}/{workload}": (scheme, workload)
+    for scheme in _sim_configs()
+    for workload in SIM_WORKLOADS
+}
+
+RING_CASES = {
+    f"ring/shadows-{'on' if shadows else 'off'}/{'dram' if dram else 'functional'}": (
+        shadows, dram
+    )
+    for shadows in (False, True)
+    for dram in (False, True)
+}
+
+
+def _strip_wall(span: dict) -> dict:
+    out = {k: v for k, v in span.items() if k not in ("wall_start", "wall_end")}
+    if "children" in out:
+        out["children"] = [_strip_wall(child) for child in out["children"]]
+    return out
+
+
+def _trees_digest(tracer: SpanTracer) -> str:
+    digest = sha256()
+    for trace in tracer.traces:
+        tree = trace.to_dict()
+        tree["root"] = _strip_wall(tree["root"])
+        digest.update(canonical_json(tree).encode())
+        digest.update(b"\n")
+    return digest.hexdigest()
+
+
+def _traced_bus() -> tuple[EventBus, SpanTracer, list]:
+    bus = EventBus()
+    tracer = SpanTracer(bus)
+    duplications: list = []
+    bus.subscribe(
+        lambda event: duplications.append(asdict(event)), DuplicationPlaced
+    )
+    return bus, tracer, duplications
+
+
+def run_sim_case(name: str) -> dict[str, str]:
+    """Digests of one traced simulation case."""
+    scheme, workload = SIM_CASES[name]
+    bus, tracer, duplications = _traced_bus()
+    observer = AccessPatternObserver()
+    result = simulate(
+        _sim_configs()[scheme], workload, num_requests=SIM_REQUESTS,
+        bus=bus, observer=observer,
+    )
+    return {
+        "result": stable_hash(result.to_dict()),
+        "adversary": stable_hash(observer.events),
+        "spans": _trees_digest(tracer),
+        "duplications": stable_hash(duplications),
+    }
+
+
+def run_ring_case(name: str) -> dict[str, str]:
+    """Digests of one Ring ORAM run on the hot read workload."""
+    shadows, dram = RING_CASES[name]
+    bus, tracer, _duplications = _traced_bus()
+    observer = AccessPatternObserver()
+    ctl = RingOramController(
+        RingConfig(levels=6, enable_shadows=shadows), Random(11),
+        dram_config=DramConfig() if dram else None,
+        observer=observer, bus=bus,
+    )
+    rng = Random(12)
+    hot = list(range(10))
+    results = []
+    now = 0.0
+    for _ in range(1200):
+        addr = hot[rng.randrange(10)] if rng.random() < 0.6 else (
+            rng.randrange(ctl.num_blocks)
+        )
+        result = ctl.access(addr, "read", now=now)
+        results.append(asdict(result))
+        now = result.finish + 50
+    rng_state = ctl.rng.getstate()
+    stats = {
+        attr: value for attr, value in vars(ctl).items()
+        if attr.startswith("stats_")
+    }
+    return {
+        "results": stable_hash(results),
+        "adversary": stable_hash(observer.events),
+        "spans": _trees_digest(tracer),
+        "tree": stable_hash(ctl.tree.snapshot_state()),
+        "stash": stable_hash(ctl.stash.snapshot_state()),
+        "posmap": stable_hash(ctl.posmap.snapshot_state()),
+        "stats": stable_hash(stats),
+        "rng": stable_hash([rng_state[0], list(rng_state[1]), rng_state[2]]),
+    }
+
+
+def run_case(name: str) -> dict[str, str]:
+    if name in SIM_CASES:
+        return run_sim_case(name)
+    return run_ring_case(name)
+
+
+ALL_CASES = [*SIM_CASES, *RING_CASES]
