@@ -4,18 +4,13 @@ from repro.core.config import ShadowConfig
 from repro.core.controller import ShadowOramController, ShadowStats
 from repro.core.hot_cache import HotAddressCache
 from repro.core.partition import DriCounter, DynamicPartitionPolicy, PartitionPolicy
-from repro.core.queues import DupCandidate, DuplicationQueue, hd_queue, rd_queue
 
 __all__ = [
     "DriCounter",
-    "DupCandidate",
-    "DuplicationQueue",
     "DynamicPartitionPolicy",
     "HotAddressCache",
     "PartitionPolicy",
     "ShadowConfig",
     "ShadowOramController",
     "ShadowStats",
-    "hd_queue",
-    "rd_queue",
 ]

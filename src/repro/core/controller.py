@@ -23,7 +23,6 @@ unchanged from the baseline — the security tests in
 
 from __future__ import annotations
 
-from bisect import insort
 from dataclasses import dataclass
 from operator import itemgetter
 from random import Random
@@ -36,6 +35,7 @@ from repro.core.partition import (
     DynamicPartitionPolicy,
     PartitionPolicy,
 )
+from repro.core.queues import place_shadows
 from repro.mem.dram import DramModel, PathTimer
 from repro.obs.events import (
     DUP_HD,
@@ -281,16 +281,13 @@ class ShadowOramController(TinyOramController):
         fill: list[int],
         placed: list[tuple[Block, int]],
     ) -> None:
-        """Algorithm 1 with the RD/HD queues flattened into local arrays.
+        """Algorithm 1: gather duplication candidates, then place shadows.
 
-        This is :class:`repro.core.queues.DuplicationQueue` selection
-        inlined: both queues hold the *same* candidates and differ only in
-        priority key, so one set of parallel lists (``bounds`` / ``hots``
-        / ``blocks``) serves both, and the per-level scan replicates
-        ``select_many`` operation for operation (same incremental
-        best-list, same stable sorts, hence the same picks in the same
-        order).  The class-based queues remain the documented reference —
-        the differential suite asserts this inline form matches them.
+        Candidates are the blocks just written back on this path plus the
+        hottest few eligible stash shadows; selection and placement are
+        :func:`repro.core.queues.place_shadows`, the routine Ring ORAM's
+        path writes run too.  The differential suite checks it against
+        the class-based queue oracle in ``tests/core/queue_oracle.py``.
         """
         cfg = self.config
         bus = self.bus
@@ -301,20 +298,16 @@ class ShadowOramController(TinyOramController):
         # the cache's merged view): this loop body runs for every
         # written-back block and every stashed shadow on every path write.
         hot_get = self.hot_cache._all.get
-        levels = cfg.levels
         # Candidate arrays.  Indices < n_placed are blocks written back on
         # this very path (automatically Rule-1-safe); indices >= n_placed
-        # are re-evicted stash shadows with ``rule1`` divergence levels.
+        # are re-evicted stash shadows.
         bounds: list[int] = []
         hots: list[int] = []
         blocks: list[Block] = []
-        max_bound = -1
         for blk, level in placed:
             bounds.append(level)
             hots.append(hot_get(blk.addr, 0))
             blocks.append(blk)
-            if level > max_bound:
-                max_bound = level
         # Evictable shadow blocks from the stash (Section V-B-2).  The
         # hardware queues are small, so cap the stash-shadow candidates to
         # the hottest few that can actually land on this path.
@@ -360,128 +353,40 @@ class ShadowOramController(TinyOramController):
                     if cold_needed == 0:
                         break
         n_placed = len(blocks)
-        # Unified Rule-1 bounds: placed blocks were evicted onto this very
-        # path so their divergence level is effectively unbounded, letting
-        # the scan loops use one ``rule1[idx] < level`` test for everybody.
-        rule1 = [levels + 1] * n_placed
         for shadow_hotness, lvl, sblk in (
             eligible_shadows[: self._STASH_SHADOW_CANDIDATES]
         ):
             bounds.append(lvl)
             hots.append(shadow_hotness)
             blocks.append(sblk)
-            # Rule-1 bound: deepest level this shadow's own path shares
-            # with the eviction path (inlined OramTree.common_level).
-            diff = sblk.leaf ^ leaf
-            rule1.append(levels if diff == 0 else levels - diff.bit_length())
-            if lvl > max_bound:
-                max_bound = lvl
-        ncand = len(blocks)
-        used = [False] * ncand
 
-        # Deepest-bound-first activation schedule.  A candidate is
-        # eligible (Rule-2 aside from Rule-1) once the level drops
-        # strictly below its bound; a selection then lowers the bound to
-        # the level just placed at, which is still deeper than every
-        # level yet to come — so eligibility, once gained, is never lost,
-        # ``active`` grows monotonically as the level walk descends, and
-        # the per-candidate ``level >= bound`` test drops out of the scan
-        # loops entirely.  ``insort`` keeps ``active`` in index order,
-        # which is the reference scan order.
-        activation = sorted(zip(bounds, range(ncand)))
-        act_ptr = ncand - 1
-        active: list[int] = []
-
-        z = cfg.z
-        sstats = self.shadow_stats
-        uses_hd = self.partition.uses_hd
-        rd_selected = hd_selected = 0
-        slots_seen = 0
-        for level in range(levels, -1, -1):
-            free = z - fill[level]
-            if free <= 0:
-                continue
-            slots_seen += free
-            use_hd = uses_hd(level)
-            if level >= max_bound:
-                # No candidate can satisfy Rule-2 here: every bound is at
-                # most ``max_bound`` (selection only lowers bounds) and
-                # eligibility needs a strictly deeper one.
-                continue
-            while act_ptr >= 0:
-                bound, idx = activation[act_ptr]
-                if bound <= level:
-                    break
-                insort(active, idx)
-                act_ptr -= 1
-            # select_many inlined: (priority, index) best-list, lowest
-            # priority first; displacement needs strictly higher priority.
-            # While the list is still filling, sorting is deferred — a
-            # stable sort on the priority key is idempotent, so sorting
-            # once when the list first fills (the only point the minimum
-            # at ``best[0]`` starts being consulted) leaves every later
-            # state, and the final stable re-sort below, bit-identical to
-            # the reference's sort-after-every-append.
-            best: list[tuple[int, int]] = []
-            append_best = best.append
-            nbest = 0
-            if use_hd:
-                for idx in active:
-                    if rule1[idx] < level:
-                        continue
-                    priority = hots[idx]
-                    if nbest < free:
-                        append_best((priority, idx))
-                        nbest += 1
-                        if nbest == free:
-                            best.sort(key=_SHADOW_HOTNESS)
-                    elif priority > best[0][0]:
-                        best[0] = (priority, idx)
-                        best.sort(key=_SHADOW_HOTNESS)
-            else:
-                for idx in active:
-                    if rule1[idx] < level:
-                        continue
-                    priority = bounds[idx]
-                    if nbest < free:
-                        append_best((priority, idx))
-                        nbest += 1
-                        if nbest == free:
-                            best.sort(key=_SHADOW_HOTNESS)
-                    elif priority > best[0][0]:
-                        best[0] = (priority, idx)
-                        best.sort(key=_SHADOW_HOTNESS)
-            if not best:
-                continue
-            chosen = sorted(best, key=lambda pc: -pc[0])
-            if use_hd:
-                hd_selected += nbest
-                sstats.hd_shadows += nbest
-            else:
-                rd_selected += nbest
-                sstats.rd_shadows += nbest
-            sstats.dummy_slots_filled += nbest
-            base = level * z + fill[level]
-            for offset, (_priority, idx) in enumerate(chosen):
-                bounds[idx] = level
-                used[idx] = True
-                copy = blocks[idx].shadow_copy()
-                buf[base + offset] = copy
-                if observed:
-                    bus.emit(
-                        DuplicationPlaced(
-                            addr=copy.addr,
-                            level=level,
-                            kind=DUP_HD if use_hd else DUP_RD,
-                            from_stash=idx >= n_placed,
-                            ts=bus.now,
-                        )
+        on_place = None
+        if observed:
+            def on_place(copy: Block, level: int, use_hd: bool, idx: int) -> None:
+                bus.emit(
+                    DuplicationPlaced(
+                        addr=copy.addr,
+                        level=level,
+                        kind=DUP_HD if use_hd else DUP_RD,
+                        from_stash=idx >= n_placed,
+                        ts=bus.now,
                     )
-        sstats.dummy_slots_seen += slots_seen
+                )
+
+        used, rd_selected, hd_selected = place_shadows(
+            leaf, buf, fill, cfg.z, 0, blocks, bounds, n_placed,
+            hots, self.partition.uses_hd, on_place,
+        )
+        sstats = self.shadow_stats
+        sstats.rd_shadows += rd_selected
+        sstats.hd_shadows += hd_selected
+        sstats.dummy_slots_filled += rd_selected + hd_selected
+        # Every path slot not taken by a real block was a dummy slot.
+        sstats.dummy_slots_seen += (cfg.levels + 1) * cfg.z - sum(fill)
 
         # A stash shadow that produced at least one tree copy has been
         # "evicted": drop the on-chip copy (its slot becomes free).
-        for idx in range(n_placed, ncand):
+        for idx in range(n_placed, len(blocks)):
             if used[idx]:
                 addr = blocks[idx].addr
                 self.stash.remove_shadow(addr)
@@ -493,7 +398,7 @@ class ShadowOramController(TinyOramController):
                 ts=bus.now,
                 detail=(
                     f"rd={rd_selected},hd={hd_selected},"
-                    f"candidates={ncand}"
+                    f"candidates={len(blocks)}"
                 ),
             ))
 

@@ -16,168 +16,146 @@ Section IV-A: a copy may only be written strictly root-ward of the
 candidate's current lowest copy (Rule-2), and only into a bucket that lies
 on the candidate's own path (Rule-1) — automatic for blocks evicted onto
 this very path, checked explicitly for re-evicted stash shadows.
+
+:func:`place_shadows` is the one implementation of this selection.  The
+Tiny ORAM shadow controller and Ring ORAM both call it; they differ only
+in bucket stride, dummy slots held back per bucket, and whether HD-Dup
+takes part.  The queues as separate objects are the differential oracle
+in ``tests/core/queue_oracle.py``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import insort
 from operator import itemgetter
+from typing import Callable
 
 from repro.oram.block import Block
-from repro.oram.tree import OramTree
 
 _PRIORITY = itemgetter(0)
 
 
-@dataclass(slots=True)
-class DupCandidate:
-    """A block eligible for duplication during the current path write.
+def place_shadows(
+    leaf: int,
+    buf: list[Block | None],
+    fill: list[int],
+    stride: int,
+    reserve: int,
+    blocks: list[Block],
+    bounds: list[int],
+    n_path: int,
+    hots: list[int] | None = None,
+    uses_hd: Callable[[int], bool] | None = None,
+    on_place: Callable[[Block, int, bool, int], None] | None = None,
+) -> tuple[list[bool], int, int]:
+    """Algorithm 1: fill one path write's dummy slots with shadow copies.
 
-    Attributes:
-        block: The candidate block (its ``leaf`` / ``payload`` / ``version``
-            are what the shadow copy will carry).
-        level_bound: Level of the candidate's current root-most copy on
-            this path; a new shadow must go to a strictly smaller level
-            (Rule-2).  Updated every time the candidate is duplicated,
-            which is what makes Figure 4(b)'s "Data-A's level changed to 1
-            after duplication" behaviour fall out naturally.
-        hotness: Hot Address Cache counter snapshot (HD-queue priority).
-        from_stash_shadow: Whether the candidate is a shadow block being
-            re-evicted from the stash (needs the explicit Rule-1 check).
-        used: Set once the candidate produced at least one shadow copy.
-        rule1_level: Cached ``common_level(block.leaf, evict_leaf)`` for
-            stash-shadow candidates.  The eviction leaf is fixed for the
-            whole path write (queues are rebuilt per write), so the
-            divergence level is computed at most once per candidate
-            instead of once per slot level scanned.
+    Both queues hold the *same* candidates and differ only in priority
+    key, so one set of parallel lists serves both.  Levels are walked
+    leaf to root; at each level the ``free`` highest-priority eligible
+    candidates are copied into the bucket's leftover slots, highest
+    priority first.
+
+    Args:
+        leaf: The path being written.
+        buf: Flat path buffer; level ``lvl`` occupies
+            ``buf[lvl * stride : (lvl + 1) * stride]`` and its first
+            ``fill[lvl]`` slots hold the real blocks just placed.
+        fill: Real blocks placed per level.
+        stride: Slots per bucket in ``buf``.
+        reserve: Dummy slots per bucket that must stay dummies.
+        blocks: Candidates.  The first ``n_path`` were written back onto
+            this path; the rest are stash shadows, checked against Rule-1.
+        bounds: Level of each candidate's root-most copy on this path; a
+            new copy must go strictly root-ward (Rule-2).  Lowered in
+            place as copies are placed.
+        n_path: Number of leading candidates written back on this path.
+        hots: Hot Address Cache counter per candidate (HD priority).
+        uses_hd: Partitioning: whether a level's dummy slots belong to
+            HD-Dup (requires ``hots``).  ``None`` means RD-Dup everywhere.
+        on_place: Called as ``on_place(copy, level, use_hd, index)`` for
+            every shadow placed, in placement order.
+
+    Returns:
+        ``(used, rd, hd)``: whether each candidate produced at least one
+        copy, and how many copies each queue placed.
     """
+    levels = len(fill) - 1
+    ncand = len(blocks)
+    # Rule-1 bounds: the deepest level a candidate's own path shares with
+    # the eviction path (inlined OramTree.common_level).  Blocks written
+    # back on this path get an unbounded ``levels + 1``, so the scan loop
+    # uses one ``rule1[idx] < level`` test for everybody.
+    rule1 = [levels + 1] * n_path
+    for idx in range(n_path, ncand):
+        diff = blocks[idx].leaf ^ leaf
+        rule1.append(levels if diff == 0 else levels - diff.bit_length())
+    max_bound = max(bounds, default=-1)
+    used = [False] * ncand
 
-    block: Block
-    level_bound: int
-    hotness: int = 0
-    from_stash_shadow: bool = False
-    used: bool = False
-    rule1_level: int | None = None
+    # Deepest-bound-first activation schedule.  A candidate is eligible
+    # (Rule-1 aside) once the level drops strictly below its bound; a
+    # selection then lowers the bound to the level just placed at, which
+    # is still deeper than every level yet to come — so eligibility, once
+    # gained, is never lost, ``active`` grows monotonically as the walk
+    # descends, and no per-candidate ``level >= bound`` test is needed.
+    # ``insort`` keeps ``active`` in candidate order, the queues' scan
+    # order.
+    activation = sorted(zip(bounds, range(ncand)))
+    act_ptr = ncand - 1
+    active: list[int] = []
 
-    def eligible(self, slot_level: int, evict_leaf: int, levels: int) -> bool:
-        """Whether this candidate may be copied into ``slot_level``.
-
-        Reference predicate; the selection hot path inlines the same
-        checks (with the Rule-1 level cached) in
-        :meth:`DuplicationQueue.select_many`.
-        """
-        if slot_level >= self.level_bound:
-            return False
-        if self.from_stash_shadow:
-            # Rule-1: the slot's bucket must lie on the candidate's path.
-            if OramTree.common_level(self.block.leaf, evict_leaf, levels) < slot_level:
-                return False
-        return True
-
-
-class DuplicationQueue:
-    """Priority queue over :class:`DupCandidate` for one path write.
-
-    Queues are tiny (at most one entry per path slot) so selection is a
-    linear scan, mirroring the CAM-style hardware structure.
-    """
-
-    def __init__(self, key: str) -> None:
-        if key not in ("level_bound", "hotness"):
-            raise ValueError(f"unknown priority key {key!r}")
-        self._key = key
-        self._candidates: list[DupCandidate] = []
-        # Upper bound on any candidate's ``level_bound`` (selection only
-        # lowers bounds, so the push-time maximum stays valid).  Lets
-        # ``select_many`` skip the scan at slot levels no candidate could
-        # ever be eligible for — e.g. the leaf level, where eligibility
-        # would need a bound deeper than the tree.
-        self._max_bound = -1
-        # Per-path-write selection tallies, surfaced as span annotations
-        # (the shadow_fill span reports rd/hd picks for this write).
-        self.pushed = 0
-        self.selected = 0
-
-    def __len__(self) -> int:
-        return len(self._candidates)
-
-    def push(self, candidate: DupCandidate) -> None:
-        self._candidates.append(candidate)
-        if candidate.level_bound > self._max_bound:
-            self._max_bound = candidate.level_bound
-        self.pushed += 1
-
-    def select(
-        self, slot_level: int, evict_leaf: int, levels: int
-    ) -> DupCandidate | None:
-        """Pick the highest-priority candidate eligible for ``slot_level``.
-
-        Returns ``None`` when no candidate satisfies the shadow rules; the
-        slot then stays a plain dummy.  The chosen candidate's
-        ``level_bound`` is updated to the slot level.
-        """
-        chosen = self.select_many(slot_level, 1, evict_leaf, levels)
-        return chosen[0] if chosen else None
-
-    def select_many(
-        self, slot_level: int, count: int, evict_leaf: int, levels: int
-    ) -> list[DupCandidate]:
-        """Pick up to ``count`` distinct candidates for one bucket's dummies.
-
-        A single scan suffices for a whole bucket: once selected, a
-        candidate's ``level_bound`` drops to ``slot_level``, making it
-        ineligible for further slots at the same level (Rule-2 is strict),
-        so the top-``count`` eligible candidates are exactly what per-slot
-        selection would have produced.
-        """
-        if count <= 0 or slot_level >= self._max_bound:
-            # No candidate can satisfy Rule-2 at this level: every bound is
-            # at most ``_max_bound`` and eligibility needs a strictly
-            # deeper one.  Identical to a scan that selects nothing.
-            return []
-        by_hotness = self._key == "hotness"
-        common_level = OramTree.common_level
-        # (priority, candidate) of current best picks, lowest priority first.
-        best: list[tuple[int, DupCandidate]] = []
+    rd_selected = hd_selected = 0
+    use_hd = False
+    for level in range(levels, -1, -1):
+        free = stride - reserve - fill[level]
+        if free <= 0 or level >= max_bound:
+            # No free slot, or no candidate can satisfy Rule-2 here: every
+            # bound is at most ``max_bound`` (selection only lowers
+            # bounds) and eligibility needs a strictly deeper one.
+            continue
+        if uses_hd is not None:
+            use_hd = uses_hd(level)
+        while act_ptr >= 0:
+            bound, idx = activation[act_ptr]
+            if bound <= level:
+                break
+            insort(active, idx)
+            act_ptr -= 1
+        # (priority, index) best-list, lowest priority first; displacement
+        # needs strictly higher priority.  Sorting is deferred until the
+        # list first fills — a stable sort on the priority key is
+        # idempotent, so every later state and the final stable re-sort
+        # match the queues' sorting after every append.
+        priority_of = hots if use_hd else bounds
+        best: list[tuple[int, int]] = []
         nbest = 0
-        for cand in self._candidates:
-            if slot_level >= cand.level_bound:
+        for idx in active:
+            if rule1[idx] < level:
                 continue
-            if cand.from_stash_shadow:
-                # Rule-1: the slot's bucket must lie on the candidate's path.
-                rule1 = cand.rule1_level
-                if rule1 is None:
-                    rule1 = common_level(cand.block.leaf, evict_leaf, levels)
-                    cand.rule1_level = rule1
-                if rule1 < slot_level:
-                    continue
-            priority = cand.hotness if by_hotness else cand.level_bound
-            if nbest < count:
-                best.append((priority, cand))
+            priority = priority_of[idx]
+            if nbest < free:
+                best.append((priority, idx))
                 nbest += 1
-                best.sort(key=_PRIORITY)
+                if nbest == free:
+                    best.sort(key=_PRIORITY)
             elif priority > best[0][0]:
-                best[0] = (priority, cand)
+                best[0] = (priority, idx)
                 best.sort(key=_PRIORITY)
-        chosen = [cand for _p, cand in sorted(best, key=lambda pc: -pc[0])]
-        for cand in chosen:
-            cand.level_bound = slot_level
-            cand.used = True
-        self.selected += len(chosen)
-        return chosen
-
-    def clear(self) -> None:
-        self._candidates.clear()
-        self._max_bound = -1
-        self.pushed = 0
-        self.selected = 0
-
-
-def rd_queue() -> DuplicationQueue:
-    """Rear-Data queue: priority = current level (deepest wins)."""
-    return DuplicationQueue("level_bound")
-
-
-def hd_queue() -> DuplicationQueue:
-    """Hot-Data queue: priority = Hot Address Cache counter."""
-    return DuplicationQueue("hotness")
+        if not best:
+            continue
+        if use_hd:
+            hd_selected += nbest
+        else:
+            rd_selected += nbest
+        base = level * stride + fill[level]
+        for offset, (_priority, idx) in enumerate(
+            sorted(best, key=lambda pc: -pc[0])
+        ):
+            bounds[idx] = level
+            used[idx] = True
+            copy = blocks[idx].shadow_copy()
+            buf[base + offset] = copy
+            if on_place is not None:
+                on_place(copy, level, use_hd, idx)
+    return used, rd_selected, hd_selected

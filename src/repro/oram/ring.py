@@ -25,16 +25,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from random import Random
 
-from repro.core.partition import PartitionPolicy
-from repro.core.queues import DupCandidate, rd_queue
-from repro.mem.dram import DramModel, PathTiming, _functional_offsets
+from repro.core.queues import place_shadows
+from repro.mem.dram import DramModel, PathTimer
 from repro.obs.events import EventBus, SpanFinished, SpanStarted
 from repro.oram.block import Block
-from repro.oram.config import OramConfig
 from repro.oram.derived import bit_reverse_table
 from repro.oram.posmap import PositionMap
 from repro.oram.stash import Stash
-from repro.oram.tiny import AccessResult, Observer
+from repro.oram.tiny import (
+    AccessResult,
+    Observer,
+    bootstrap_tree,
+    place_deepest_first,
+)
 from repro.oram.tree import OramTree
 
 
@@ -101,9 +104,14 @@ class _BucketMeta:
 class RingOramController:
     """Functional + timed Ring ORAM controller with optional shadows.
 
-    Timing: read-only accesses touch one block per bucket (modelled with a
-    Z=1 DRAM geometry); evictions and reshuffles move whole buckets
-    (modelled with the full ``z + s`` geometry).
+    The Path ORAM substrate is Tiny ORAM's: bootstrap, deepest-first
+    eviction placement and shadow selection are the same routines, run
+    with ``z`` real slots per ``z + s``-slot bucket.
+
+    Timing: read-only accesses touch one block per bucket (a
+    :class:`~repro.mem.dram.PathTimer` over a Z=1 DRAM geometry);
+    evictions and reshuffles move whole buckets (modelled with the full
+    ``z + s`` geometry).
     """
 
     def __init__(
@@ -124,28 +132,26 @@ class RingOramController:
         self._meta = [
             _BucketMeta(config.slots_per_bucket) for _ in range(self.tree.num_buckets)
         ]
+        self._dram_bulk = None
+        dram_read = None
         if dram_config is not None:
-            self._dram_read = DramModel(dram_config, config.levels, 1)
+            dram_read = DramModel(dram_config, config.levels, 1)
             self._dram_bulk = DramModel(
                 dram_config, config.levels, config.slots_per_bucket
             )
-        else:
-            self._dram_read = None
-            self._dram_bulk = None
-        self._partition = PartitionPolicy(0, config.levels + 1)  # pure RD-Dup
+        self._read_timer = PathTimer(dram_read, config.levels, 1, bus=self.bus)
         self._access_count = 0
         self._eviction_counter = 0
         self._rev_table = bit_reverse_table(config.levels)
-        path_slots = (config.levels + 1) * config.slots_per_bucket
-        self._path_buf: list[Block | None] = [None] * path_slots
-        self._empty_path: list[Block | None] = [None] * path_slots
         self.stats_reads = 0
         self.stats_evictions = 0
         self.stats_reshuffles = 0
         self.stats_shadow_serves = 0
         self.stats_stash_hits = 0
         self.stats_blocks_on_bus = 0
-        self._bootstrap()
+        bootstrap_tree(
+            self.tree, self.posmap, self.stash, config.num_blocks, config.z
+        )
 
     @property
     def num_blocks(self) -> int:
@@ -158,6 +164,8 @@ class RingOramController:
         """Serve one request: Ring RO access + scheduled eviction."""
         if not 0 <= addr < self.config.num_blocks:
             raise ValueError(f"address {addr} out of range")
+        if op not in ("read", "write"):
+            raise ValueError(f"op must be 'read' or 'write', got {op!r}")
         bus = self.bus
         observed = bool(bus._subs)
         if observed:
@@ -233,16 +241,7 @@ class RingOramController:
         observed = bool(bus._subs)
         if observed:
             bus.emit(SpanStarted(name="path_read", ts=now, detail="ro"))
-        timing = self._read_timing(now)
-        if observed:
-            bus.emit(
-                SpanStarted(
-                    name="dram_read",
-                    ts=now,
-                    detail="functional" if self._dram_read is None else "stream",
-                )
-            )
-            bus.emit(SpanFinished(name="dram_read", ts=timing.internal_finish))
+        timing = self._read_timer.read(now)
         self.stats_reads += 1
         self.stats_blocks_on_bus += cfg.levels + 1
         if self.observer is not None:
@@ -381,33 +380,9 @@ class RingOramController:
             self._meta[idx].touched = [False] * cfg.slots_per_bucket
             self._meta[idx].reads = 0
 
-        # Greedy deepest-first placement of up to Z real blocks per bucket
-        # (stable: grouped by deepest legal level, leaf-ward groups first —
-        # the same order as the stable sorted(reverse=True) it replaces).
-        levels = cfg.levels
-        spb = cfg.slots_per_bucket
-        fill = [0] * (levels + 1)
-        placed: list[tuple[Block, int]] = []
-        buf = self._path_buf
-        buf[:] = self._empty_path
-        groups: list[list[Block]] = [[] for _ in range(levels + 1)]
-        for blk in self.stash.iter_real():
-            diff = blk.leaf ^ leaf
-            lvl = levels if diff == 0 else levels - diff.bit_length()
-            groups[lvl].append(blk)
-        for lvl in range(levels, -1, -1):
-            for blk in groups[lvl]:
-                level = lvl
-                while level >= 0 and fill[level] >= cfg.z:
-                    level -= 1
-                if level < 0:
-                    continue
-                buf[level * spb + fill[level]] = blk
-                fill[level] += 1
-                placed.append((blk, level))
-        for blk, _level in placed:
-            self.stash.remove_real(blk.addr)
-
+        buf, fill, placed = place_deepest_first(
+            self.stash, leaf, cfg.levels, cfg.z, cfg.slots_per_bucket
+        )
         if cfg.enable_shadows:
             if observed:
                 bus.emit(SpanStarted(name="shadow_fill", ts=now))
@@ -437,52 +412,14 @@ class RingOramController:
         fill: list[int],
         placed: list[tuple[Block, int]],
     ) -> None:
-        """RD-Dup over the ring's spare dummy slots (Section II-C claim)."""
-        cfg = self.config
-        spb = cfg.slots_per_bucket
-        queue = rd_queue()
-        for blk, level in placed:
-            queue.push(DupCandidate(block=blk, level_bound=level))
-        for level in range(cfg.levels, -1, -1):
-            free = spb - fill[level]
-            if free <= 0:
-                continue
-            # Keep at least one untouchable dummy per bucket so dummy
-            # touches stay available between reshuffles.
-            chosen = queue.select_many(level, max(0, free - 1), leaf, cfg.levels)
-            for offset, cand in enumerate(chosen):
-                buf[level * spb + fill[level] + offset] = cand.block.shadow_copy()
+        """RD-Dup over the ring's spare dummy slots (Section II-C claim).
 
-    # ------------------------------------------------------------------
-    def _read_timing(self, now: float) -> PathTiming:
-        if self._dram_read is None:
-            return PathTiming(
-                start=now,
-                arrival_offsets=_functional_offsets(self.config.levels, 1),
-                internal_finish=now,
-                finish=now,
-                activations=0,
-                blocks_on_bus=self.config.levels + 1,
-            )
-        return self._dram_read.read_path(now)
-
-    def _bootstrap(self) -> None:
-        cfg = self.config
-        tree = self.tree
-        slots = tree._slots
-        spb = cfg.slots_per_bucket
-        levels = cfg.levels
-        fill = [0] * tree.num_buckets
-        for addr in range(cfg.num_blocks):
-            leaf = self.posmap.lookup(addr)
-            blk = Block(addr=addr, leaf=leaf, version=0)
-            level = levels
-            while level >= 0:
-                idx = (1 << level) - 1 + (leaf >> (levels - level))
-                if fill[idx] < cfg.z:
-                    slots[idx * spb + fill[idx]] = blk
-                    fill[idx] += 1
-                    break
-                level -= 1
-            else:
-                self.stash.insert(blk)
+        Tiny ORAM's selection routine with one dummy per bucket held back,
+        so dummy touches stay available between reshuffles.
+        """
+        place_shadows(
+            leaf, buf, fill, self.config.slots_per_bucket, 1,
+            [blk for blk, _level in placed],
+            [level for _blk, level in placed],
+            len(placed),
+        )

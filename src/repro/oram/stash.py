@@ -104,16 +104,6 @@ class Stash:
         """
         return self._real.values()
 
-    def iter_shadow(self):
-        """Live view over shadow blocks in FIFO order (no copy).
-
-        The insertion-ordered ``_shadow`` dict *is* the intrusive shadow
-        free-list: the head (first key) is the next drop victim, removal
-        and re-insertion are O(1) dict operations, and no auxiliary order
-        structure needs maintaining.
-        """
-        return self._shadow.values()
-
     # ------------------------------------------------------------------
     # Mutation
     # ------------------------------------------------------------------
@@ -134,8 +124,8 @@ class Stash:
                 self.merges += 1
                 return
             if len(real) + len(shadow) + 1 > self.capacity and shadow:
-                # FIFO shadow drop (``_drop_one_shadow`` inlined: this is
-                # the hottest mutation path).
+                # FIFO shadow drop: the insertion-ordered ``_shadow`` dict
+                # is the shadow free-list, its first key the oldest entry.
                 del shadow[next(iter(shadow))]
                 self.shadow_drops += 1
             shadow[addr] = blk
@@ -243,14 +233,3 @@ class Stash:
                 real=len(self._real), shadow=len(self._shadow), ts=bus.now
             )
         )
-
-    def _make_room_for_shadow(self) -> None:
-        if len(self._real) + len(self._shadow) + 1 > self.capacity:
-            self._drop_one_shadow()
-
-    def _drop_one_shadow(self) -> None:
-        if not self._shadow:
-            return
-        oldest = next(iter(self._shadow))
-        del self._shadow[oldest]
-        self.shadow_drops += 1

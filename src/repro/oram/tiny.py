@@ -131,6 +131,81 @@ class OramStats:
     onchip_serves: int = 0
 
 
+def place_deepest_first(
+    stash: Stash, leaf: int, levels: int, capacity: int, stride: int
+) -> tuple[list[Block | None], list[int], list[tuple[Block, int]]]:
+    """Greedy deepest-first eviction of the stash's real blocks onto ``leaf``.
+
+    Each bucket takes at most ``capacity`` real blocks.  Returns
+    ``(buf, fill, placed)``: a fresh flat path buffer (level ``lvl``
+    occupies ``buf[lvl * stride : (lvl + 1) * stride]``, dummies are
+    ``None``), the real blocks placed per level, and ``(block, level)``
+    for every placed block in placement order.  Placed blocks leave the
+    stash.
+
+    Candidates go in the order of a stable ``sorted(..., reverse=True)``
+    on their deepest legal level: blocks are grouped by that level and
+    the groups walked leaf-ward first, keeping stash insertion order
+    within each group.
+    """
+    buf: list[Block | None] = [None] * ((levels + 1) * stride)
+    fill = [0] * (levels + 1)
+    groups: list[list[Block]] = [[] for _ in range(levels + 1)]
+    for blk in stash.iter_real():
+        diff = blk.leaf ^ leaf
+        groups[levels if diff == 0 else levels - diff.bit_length()].append(blk)
+    placed: list[tuple[Block, int]] = []
+    for lvl in range(levels, -1, -1):
+        for blk in groups[lvl]:
+            level = lvl
+            while level >= 0 and fill[level] >= capacity:
+                level -= 1
+            if level < 0:
+                continue
+            buf[level * stride + fill[level]] = blk
+            fill[level] += 1
+            placed.append((blk, level))
+    remove_real = stash.remove_real
+    for blk, _level in placed:
+        remove_real(blk.addr)
+    return buf, fill, placed
+
+
+def bootstrap_tree(
+    tree: OramTree,
+    posmap: PositionMap,
+    stash: Stash,
+    num_blocks: int,
+    capacity: int,
+) -> None:
+    """Place every program block in the tree at its mapped path.
+
+    Blocks are installed leaf-first along their assigned path, at most
+    ``capacity`` real blocks per bucket (the tree's bucket width is the
+    slot stride); anything that does not fit near its leaf percolates
+    root-ward, mirroring a warmed-up ORAM.  A residual handful may start
+    in the stash.
+    """
+    slots = tree._slots
+    stride = tree.z
+    levels = tree.levels
+    fill = [0] * tree.num_buckets
+    leaf_of = posmap._leaf
+    for addr in range(num_blocks):
+        leaf = leaf_of[addr]
+        blk = Block(addr, leaf, 0)
+        level = levels
+        while level >= 0:
+            idx = (1 << level) - 1 + (leaf >> (levels - level))
+            if fill[idx] < capacity:
+                slots[idx * stride + fill[idx]] = blk
+                fill[idx] += 1
+                break
+            level -= 1
+        else:
+            stash.insert(blk)
+
+
 class TinyOramController:
     """Baseline Tiny ORAM controller.
 
@@ -192,20 +267,15 @@ class TinyOramController:
         self.post_access_hook: Callable[[AccessResult], None] | None = None
         self._ro_since_eviction = 0
         self._eviction_counter = 0
-        # Derived-value caches + preallocated path buffers (hot-path
-        # data layout): the eviction-order bit-reversal table, per-leaf
-        # flat-store offsets, and a reusable (levels+1)*z write buffer
-        # shared by _build_path_contents/_path_write.
+        # Derived-value caches (hot-path data layout): the eviction-order
+        # bit-reversal table, per-leaf flat-store offsets, and a reusable
+        # per-level path-base buffer for _path_read.
         self._rev_table = bit_reverse_table(config.levels)
         self.derived = DerivedCache(self.tree)
-        path_slots = (config.levels + 1) * config.z
-        self._path_buf: list[Block | None] = [None] * path_slots
-        self._empty_path: list[Block | None] = [None] * path_slots
         self._path_bases_buf: list[int] = [0] * (config.levels + 1)
-        self._level_groups: list[list[Block]] = [
-            [] for _ in range(config.levels + 1)
-        ]
-        self._bootstrap()
+        bootstrap_tree(
+            self.tree, self.posmap, self.stash, config.num_blocks, config.z
+        )
         # Integrated integrity verification + self-healing recovery
         # (Tiny ORAM ships with integrity verification).  Built after
         # bootstrap so the initial tree state is what gets authenticated.
@@ -696,45 +766,17 @@ class TinyOramController:
         return (self.config.levels + 1 - self.config.treetop_levels) * self.config.z
 
     def _build_path_contents(self, leaf: int) -> list[Block | None]:
-        """Greedy deepest-first stash eviction onto path ``leaf``.
+        """Evict the stash onto path ``leaf`` and return the path buffer.
 
-        Returns the controller's reusable flat path buffer: level ``lvl``
-        occupies ``buf[lvl * z : (lvl + 1) * z]``, dummies are ``None``.
-        Candidate order is the stable deepest-first order of the original
-        ``sorted(..., reverse=True)``: blocks are grouped by their deepest
-        legal level and the groups walked leaf-ward first, preserving
-        stash insertion order within each group — bit-identical placement.
-
-        Subclasses extend this to fill the remaining dummy slots with
-        shadow blocks (Algorithm 1, line 4).
+        Real blocks go deepest-first (:func:`place_deepest_first`); level
+        ``lvl`` occupies ``buf[lvl * z : (lvl + 1) * z]``, dummies are
+        ``None``.  Subclasses fill the remaining dummy slots with shadow
+        blocks through :meth:`_fill_dummies` (Algorithm 1, line 4).
         """
         cfg = self.config
-        levels = cfg.levels
-        z = cfg.z
-        buf = self._path_buf
-        buf[:] = self._empty_path
-        fill = [0] * (levels + 1)
-        groups = self._level_groups
-        for group in groups:
-            group.clear()
-        for blk in self.stash.iter_real():
-            diff = blk.leaf ^ leaf
-            lvl = levels if diff == 0 else levels - diff.bit_length()
-            groups[lvl].append(blk)
-        placed: list[tuple[Block, int]] = []
-        for lvl in range(levels, -1, -1):
-            for blk in groups[lvl]:
-                level = lvl
-                while level >= 0 and fill[level] >= z:
-                    level -= 1
-                if level < 0:
-                    continue
-                buf[level * z + fill[level]] = blk
-                fill[level] += 1
-                placed.append((blk, level))
-        remove_real = self.stash.remove_real
-        for blk, _level in placed:
-            remove_real(blk.addr)
+        buf, fill, placed = place_deepest_first(
+            self.stash, leaf, cfg.levels, cfg.z, cfg.z
+        )
         self._fill_dummies(leaf, buf, fill, placed)
         return buf
 
@@ -793,34 +835,3 @@ class TinyOramController:
             self.recovery.restore_state(state["recovery"])
         if self.integrity is not None:
             self.integrity._rebuild_all()
-
-    # ------------------------------------------------------------------
-    # Initialisation
-    # ------------------------------------------------------------------
-    def _bootstrap(self) -> None:
-        """Place every program block in the tree at its mapped path.
-
-        Blocks are installed leaf-first along their assigned path; anything
-        that does not fit near its leaf percolates root-ward, mirroring a
-        warmed-up ORAM.  A residual handful may start in the stash.
-        """
-        cfg = self.config
-        tree = self.tree
-        slots = tree._slots
-        z = tree.z
-        levels = cfg.levels
-        fill = [0] * tree.num_buckets
-        leaf_of = self.posmap._leaf
-        for addr in range(cfg.num_blocks):
-            leaf = leaf_of[addr]
-            blk = Block(addr, leaf, 0)
-            level = levels
-            while level >= 0:
-                idx = (1 << level) - 1 + (leaf >> (levels - level))
-                if fill[idx] < z:
-                    slots[idx * z + fill[idx]] = blk
-                    fill[idx] += 1
-                    break
-                level -= 1
-            else:
-                self.stash.insert(blk)

@@ -40,6 +40,15 @@ class TestFunctionalCorrectness:
         ctl.access(3, "write", payload="v2")
         assert ctl.access(3, "read").value == "v2"
 
+    def test_unknown_op_rejected(self):
+        # Same contract as TinyOramController.access: anything but
+        # "read"/"write" raises before the controller touches any state.
+        ctl = make()
+        for op in ("WRITE", "dummy", ""):
+            with pytest.raises(ValueError, match="op must be"):
+                ctl.access(3, op)
+        assert ctl.stats_reads == ctl.stats_stash_hits == 0
+
     def test_random_workload_consistency(self):
         ctl = make()
         rng = Random(8)
