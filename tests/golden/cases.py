@@ -16,7 +16,18 @@ see ``tests/system/test_span_determinism.py``) and digest
 * ``spans``: every span tree in the simulated-cycle clock (host wall
   clock fields stripped),
 * ``duplications``: every :class:`~repro.obs.events.DuplicationPlaced`
-  event, in emission order.
+  event, in emission order,
+* ``merkle_root`` (integrity cases only): the hex of the controller's
+  trusted Merkle root at the end of the run.
+
+The recovery case runs ``static-4`` with integrity under the ``recover``
+policy (L=8, sparse background scrub) on mcf while a seeded plan flips
+bits in tree-resident blocks, wired like
+``tests/integration/test_self_healing.py``.  It digests the result, the
+:class:`~repro.obs.events.CorruptionDetected` /
+:class:`~repro.obs.events.BlockRecovered` stream (with recovery sources),
+the :class:`~repro.oram.recovery.RecoveryStats` and the final Merkle
+root.
 
 Ring ORAM cases drive :class:`~repro.oram.ring.RingOramController`
 directly on the hot read workload of ``tests/oram/test_ring.py`` and
@@ -31,13 +42,19 @@ from dataclasses import asdict
 from hashlib import sha256
 from random import Random
 
+from repro.faults import FaultPlan
 from repro.mem.dram import DramConfig
-from repro.obs.events import DuplicationPlaced, EventBus
+from repro.obs.events import (
+    BlockRecovered,
+    CorruptionDetected,
+    DuplicationPlaced,
+    EventBus,
+)
 from repro.obs.spans import SpanTracer
 from repro.oram.config import OramConfig
 from repro.oram.ring import RingConfig, RingOramController
 from repro.security.adversary import AccessPatternObserver
-from repro.serialize import canonical_json, stable_hash
+from repro.serialize import canonical_json, dataclass_to_dict, stable_hash
 from repro.system.config import SystemConfig
 from repro.system.simulator import simulate
 
@@ -64,6 +81,14 @@ SIM_CASES = {
     for scheme in _sim_configs()
     for workload in SIM_WORKLOADS
 }
+
+RECOVER_CASES = {"static-4-integrity-recover/mcf": "mcf"}
+RECOVER_REQUESTS = 20_000
+# Access ordinals of the injected flips (the L=8 run serves 64 misses).
+# With fault seed 7 the background scrub (every 12 accesses) and the
+# demand-path check both heal some of them, from the directory, a stash
+# shadow and a path duplicate.
+RECOVER_FLIPS = (2, 5, 6, 13, 21, 34, 47, 55)
 
 RING_CASES = {
     f"ring/shadows-{'on' if shadows else 'off'}/{'dram' if dram else 'functional'}": (
@@ -101,20 +126,70 @@ def _traced_bus() -> tuple[EventBus, SpanTracer, list]:
     return bus, tracer, duplications
 
 
+def _capturing_filter(captured: dict, wrap=None):
+    """Backend filter that records the ORAM controller it was handed."""
+
+    def filt(backend):
+        if wrap is not None:
+            backend = wrap(backend)
+        captured["controller"] = getattr(backend, "controller", None)
+        return backend
+
+    return filt
+
+
 def run_sim_case(name: str) -> dict[str, str]:
     """Digests of one traced simulation case."""
     scheme, workload = SIM_CASES[name]
     bus, tracer, duplications = _traced_bus()
     observer = AccessPatternObserver()
+    captured: dict = {}
     result = simulate(
         _sim_configs()[scheme], workload, num_requests=SIM_REQUESTS,
-        bus=bus, observer=observer,
+        bus=bus, observer=observer, backend_filter=_capturing_filter(captured),
     )
-    return {
+    out = {
         "result": stable_hash(result.to_dict()),
         "adversary": stable_hash(observer.events),
         "spans": _trees_digest(tracer),
         "duplications": stable_hash(duplications),
+    }
+    integrity = captured["controller"].integrity
+    if integrity is not None:
+        out["merkle_root"] = integrity.root.hex()
+    return out
+
+
+def run_recover_case(name: str) -> dict[str, str]:
+    """Digests of one bit-flip run healed by the ``recover`` policy."""
+    workload = RECOVER_CASES[name]
+    oram = OramConfig(levels=8, integrity=True, recovery="recover",
+                      scrub_interval=12)
+    config = SystemConfig.static(4, oram=oram).with_(seed=1)
+    plan = FaultPlan.parse(
+        [f"bit-flip:at_access={at}" for at in RECOVER_FLIPS], seed=7
+    )
+    injector = plan.injector()
+    captured: dict = {}
+    bus = EventBus()
+    events: list = []
+    bus.subscribe(
+        lambda event: events.append((type(event).__name__, asdict(event))),
+        CorruptionDetected, BlockRecovered,
+    )
+    result = simulate(
+        config, workload, num_requests=RECOVER_REQUESTS, seed=1, bus=bus,
+        backend_filter=_capturing_filter(captured, injector.backend_filter()),
+    )
+    controller = captured["controller"]
+    assert len(injector.fired()) == len(RECOVER_FLIPS)
+    return {
+        "result": stable_hash(result.to_dict()),
+        "recovery_events": stable_hash(events),
+        "recovery_stats": stable_hash(
+            dataclass_to_dict(controller.recovery.stats)
+        ),
+        "merkle_root": controller.integrity.root.hex(),
     }
 
 
@@ -159,7 +234,9 @@ def run_ring_case(name: str) -> dict[str, str]:
 def run_case(name: str) -> dict[str, str]:
     if name in SIM_CASES:
         return run_sim_case(name)
+    if name in RECOVER_CASES:
+        return run_recover_case(name)
     return run_ring_case(name)
 
 
-ALL_CASES = [*SIM_CASES, *RING_CASES]
+ALL_CASES = [*SIM_CASES, *RECOVER_CASES, *RING_CASES]
