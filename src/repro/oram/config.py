@@ -36,7 +36,9 @@ class OramConfig:
         integrity: Maintain a Merkle hash tree over the ORAM tree and
             verify every demand path before reading it (Tiny ORAM ships
             with integrity verification; off by default because the
-            functional hashing roughly doubles simulation cost).
+            functional hashing multiplies host time by about 2.4 —
+            static-4 with timing protection on mcf, L=14, 20k
+            requests, tree build included).
         recovery: What to do when verification finds a corrupt slot:
             ``raise`` (fail the run with ``IntegrityError``), ``recover``
             (heal through the shadow-copy escalation ladder, raising only

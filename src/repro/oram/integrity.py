@@ -11,17 +11,12 @@ siblings — the same buckets the ORAM already moves.
 
 This module provides that layer for the simulator: a
 :class:`MerkleTree` keyed by the ORAM tree geometry, with
-``verify_path`` / ``update_path`` operations plus the recovery-oriented
-primitives the self-healing runtime builds on:
-
-* per-slot digests, so a mismatch can be **localized** to the exact
-  bucket *slot* that was tampered with (:meth:`MerkleTree.localize`,
-  :meth:`MerkleTree.verify_all`);
-* a per-slot metadata directory (:class:`SlotMeta`) recording what each
-  slot held at its last authenticated rehash — the simulator's stand-in
-  for the durable replica a posmap-guided repair fetch would consult;
-* :meth:`MerkleTree.rehash_bucket`, the O(L) root-ward rehash a healed
-  bucket needs.
+``verify_path`` / ``update_path`` plus the primitives the self-healing
+runtime builds on: per-slot **localization** of a mismatch
+(:meth:`MerkleTree.localize`, :meth:`MerkleTree.verify_all`), a slot
+directory of what each slot held at its last authenticated rehash (the
+stand-in for the durable replica a repair fetch would consult), and the
+O(L) root-ward :meth:`MerkleTree.rehash_bucket` a healed bucket needs.
 
 Block contents hash through the canonical byte codec of
 :mod:`repro.serialize` (``payload_bytes``), *not* ``repr``: ``repr`` is
@@ -35,6 +30,7 @@ our benchmarks.
 from __future__ import annotations
 
 import hashlib
+import struct
 from dataclasses import dataclass
 
 from repro.oram.block import Block
@@ -46,53 +42,82 @@ class IntegrityError(RuntimeError):
     """Raised when a path's contents do not match the trusted root digest."""
 
 
-_DUMMY_BYTES = b"\x00dummy"
-_DUMMY_DIGEST = hashlib.sha256(_DUMMY_BYTES).digest()
-
-# Experiments run with ``payload=None`` on every block, so the canonical
-# JSON rendering of ``None`` dominates pre-image construction; compute it
-# once instead of round-tripping through the codec per slot.
-_NONE_PAYLOAD_BYTES = payload_bytes(None)
-
 _sha256 = hashlib.sha256
+
+# A slot's pre-image is ``\x01`` ‖ addr (u64) ‖ leaf (u64) ‖ version (i64)
+# ‖ shadow bit ‖ canonical payload bytes, or ``\x00dummy`` for a dummy.
+# The hasher consumes *framed* pre-images — a 4-byte little-endian length,
+# then the pre-image — which keeps a bucket's concatenation injective.
+_HEADER = struct.Struct("<IBQQq?")
+_PREIMAGE_HEAD = _HEADER.size - 4
+_DUMMY_FRAME = b"\x06\x00\x00\x00\x00dummy"
+# Fields that do not fit the encoding (negative address, version outside
+# i64, ...) frame as a marker no valid pre-image equals, so a forged slot
+# fails verification instead of crashing it.
+_UNENCODABLE_FRAME = b"\x0c\x00\x00\x00\x02unencodable"
+
+# Experiments run with ``payload=None`` on every block: one precompiled
+# pack frames such a slot, canonical ``None`` payload bytes included.
+_NONE_PAYLOAD_BYTES = payload_bytes(None)
+_NONE_LEN = _PREIMAGE_HEAD + len(_NONE_PAYLOAD_BYTES)
+_pack_none = struct.Struct(f"<IBQQq?{len(_NONE_PAYLOAD_BYTES)}s").pack
+
+
+def _frame(blk: Block | None) -> bytes:
+    """Framed canonical pre-image of one bucket slot's logical contents.
+
+    Blocks render their full identity, so any stale or forged
+    replacement changes the bytes — and therefore the digest.  Byte
+    equality of pre-images is exactly what slot-digest equality
+    certifies, checked without hashing anything.
+    """
+    if blk is None:
+        return _DUMMY_FRAME
+    payload = blk.payload
+    data = _NONE_PAYLOAD_BYTES if payload is None else payload_bytes(payload)
+    try:
+        return _HEADER.pack(
+            _PREIMAGE_HEAD + len(data), 1,
+            blk.addr, blk.leaf, blk.version, blk.is_shadow,
+        ) + data
+    except struct.error:
+        return _UNENCODABLE_FRAME
+
+
+def _bucket_frame(bucket: list[Block | None]) -> bytes:
+    """One bucket's framed slot pre-images, concatenated (as hashed)."""
+    try:
+        return b"".join([
+            _DUMMY_FRAME if blk is None
+            else _pack_none(
+                _NONE_LEN, 1, blk.addr, blk.leaf, blk.version, blk.is_shadow,
+                _NONE_PAYLOAD_BYTES,
+            ) if blk.payload is None
+            else _frame(blk)
+            for blk in bucket
+        ])
+    except struct.error:  # an unencodable slot: let _frame mark it
+        return b"".join([_frame(blk) for blk in bucket])
+
+
+def _split(frames: bytes) -> list[bytes]:
+    """Inverse of :func:`_bucket_frame`: one framed pre-image per slot."""
+    out = []
+    start = 0
+    while start < len(frames):
+        stop = start + 4 + int.from_bytes(frames[start:start + 4], "little")
+        out.append(frames[start:stop])
+        start = stop
+    return out
 
 
 def _slot_bytes(blk: Block | None) -> bytes:
-    """Canonical pre-image of one bucket slot's logical contents.
-
-    Dummies render as a fixed marker; blocks render their full identity
-    (address, leaf, version, shadow bit, canonical payload bytes) so any
-    stale or forged replacement changes the bytes — and therefore the
-    digest.  This is the unit the batched hasher feeds to ``sha256`` and
-    the unit localization compares: byte equality of pre-images is
-    exactly the property slot-digest equality certified, checked without
-    hashing anything.
-    """
-    if blk is None:
-        return _DUMMY_BYTES
-    return b"".join(
-        (
-            b"\x01",
-            blk.addr.to_bytes(8, "little", signed=False),
-            blk.leaf.to_bytes(8, "little", signed=False),
-            blk.version.to_bytes(8, "little", signed=True),
-            b"\x01" if blk.is_shadow else b"\x00",
-            _NONE_PAYLOAD_BYTES
-            if blk.payload is None
-            else payload_bytes(blk.payload),
-        )
-    )
+    """Canonical (unframed) pre-image of one bucket slot."""
+    return _frame(blk)[4:]
 
 
 def _slot_digest(blk: Block | None) -> bytes:
-    """Digest of one bucket slot's logical contents.
-
-    Equal to ``sha256(_slot_bytes(blk))`` by construction; kept as the
-    reference definition (and for callers that need a fixed-width
-    commitment rather than the variable-length pre-image).
-    """
-    if blk is None:
-        return _DUMMY_DIGEST
+    """Digest of one bucket slot's logical contents."""
     return _sha256(_slot_bytes(blk)).digest()
 
 
@@ -154,32 +179,29 @@ class CorruptSlot:
 class MerkleTree:
     """Hash tree mirroring an :class:`~repro.oram.tree.OramTree`.
 
-    Node digest = H(slot digests || left child digest || right child
-    digest).  Only :attr:`root` needs trusted storage; the per-node
-    digests live (conceptually) in untrusted memory alongside the buckets,
-    while the per-slot digest/metadata directory models the authenticated
-    repair source recovery falls back on.
+    Node digest = H(framed slot pre-images || left child digest || right
+    child digest), one ``sha256`` call per bucket.  Only :attr:`root`
+    needs trusted storage; the node digests live (conceptually) in
+    untrusted memory, while the slot directory — each bucket's frames
+    from its last authenticated rehash (``_frames``) plus the payload
+    objects they encode — models the repair source recovery falls back
+    on.  Invariant, kept by every mutator: ``_digests[i]`` hashes
+    ``_frames[i]`` and the stored digests of ``i``'s children.  Bucket
+    contents are read from ``tree._slots`` on every call (a restore
+    rebinds it), never cached by ``Block`` identity (a fault may mutate
+    a tree-resident block in place).
 
     Args:
-        tree: The ORAM tree to authenticate.  The Merkle tree reads bucket
-            contents directly from it on (re)hashing.
+        tree: The ORAM tree to authenticate.
     """
 
     def __init__(self, tree: OramTree) -> None:
         self.tree = tree
-        self._digests: list[bytes] = [b""] * tree.num_buckets
-        # Per-slot canonical pre-image bytes from the last authenticated
-        # rehash.  Storing pre-images instead of digests is what makes
-        # both hashing and localization batched: a bucket's node digest is
-        # one ``sha256`` pass over its (length-prefixed) slot bytes plus
-        # the child digests, and a corrupt slot is found by comparing
-        # bytes — no per-slot digest objects anywhere on the hot path.
-        self._slot_preimages: list[list[bytes]] = [
-            [] for _ in range(tree.num_buckets)
-        ]
-        self._slot_meta: list[list[SlotMeta | None]] = [
-            [] for _ in range(tree.num_buckets)
-        ]
+        # Heap order, padded with empty digests for the children of leaf
+        # buckets, so one expression hashes every node.
+        self._digests: list[bytes] = [b""] * (2 * tree.num_buckets + 1)
+        self._frames: list[bytes] = [b""] * tree.num_buckets
+        self._payloads: list[object] = []  # parallel to tree._slots
         self._rebuild_all()
 
     @property
@@ -187,81 +209,85 @@ class MerkleTree:
         """The trusted on-chip root digest."""
         return self._digests[0]
 
-    def slot_bytes(self, bucket_index: int, slot: int) -> bytes:
-        """Trusted pre-image of one slot (from the last authenticated rehash).
+    def _slot_frame(self, index: int, slot: int) -> bytes:
+        return _split(self._frames[index])[slot]
 
-        Comparing a live block's ``_slot_bytes`` against this is the
-        hash-free equivalent of comparing slot digests; recovery's scrub
-        loops use it to skip a ``sha256`` per inspected slot.
-        """
-        return self._slot_preimages[bucket_index][slot]
+    def slot_bytes(self, index: int, slot: int) -> bytes:
+        """Trusted pre-image of one slot (from the last authenticated rehash)."""
+        return self._slot_frame(index, slot)[4:]
 
-    def slot_digest(self, bucket_index: int, slot: int) -> bytes:
+    def slot_digest(self, index: int, slot: int) -> bytes:
         """Trusted digest of one slot (from the last authenticated rehash)."""
-        preimage = self._slot_preimages[bucket_index][slot]
-        if preimage == _DUMMY_BYTES:
-            return _DUMMY_DIGEST
-        return _sha256(preimage).digest()
+        return _sha256(self.slot_bytes(index, slot)).digest()
 
-    def slot_meta(self, bucket_index: int, slot: int) -> SlotMeta | None:
-        """Directory entry for one slot (``None`` = authenticated dummy)."""
-        return self._slot_meta[bucket_index][slot]
+    def slot_meta(self, index: int, slot: int) -> SlotMeta | None:
+        """Directory entry for one slot (``None`` = authenticated dummy).
+
+        Decoded from the stored frame.  A slot authenticated as
+        unencodable (a tree built over forged contents) has none either.
+        """
+        frame = self._slot_frame(index, slot)
+        if frame[4] != 1:
+            return None
+        _, _, addr, leaf, version, is_shadow = _HEADER.unpack_from(frame)
+        payload = self._payloads[index * self.tree.z + slot]
+        return SlotMeta(addr, leaf, version, is_shadow, payload)
+
+    def is_authentic(self, index: int, slot: int, blk: Block | None) -> bool:
+        """Whether ``blk`` is what the slot held at its last rehash."""
+        return _frame(blk) == self._slot_frame(index, slot)
 
     # ------------------------------------------------------------------
-    def _children(self, index: int) -> tuple[int | None, int | None]:
-        left = 2 * index + 1
-        right = 2 * index + 2
-        if left >= self.tree.num_buckets:
-            return None, None
-        return left, right
+    def _node_digest(self, index: int, frames: bytes) -> bytes:
+        digests = self._digests
+        return _sha256(
+            frames + digests[2 * index + 1] + digests[2 * index + 2]
+        ).digest()
 
-    def _node_digest(self, index: int, slot_preimages: list[bytes]) -> bytes:
-        """One-pass bucket digest: H(len-prefixed slot bytes || children).
-
-        The 4-byte length prefix keeps the encoding injective — slot
-        pre-images vary in length with their payloads, so without it two
-        different buckets could concatenate to the same byte stream.
-        """
-        h = _sha256()
-        update = h.update
-        for preimage in slot_preimages:
-            update(len(preimage).to_bytes(4, "little"))
-            update(preimage)
-        left, right = self._children(index)
-        if left is not None:
-            update(self._digests[left])
-            update(self._digests[right])
-        return h.digest()
-
-    def _rehash(self, index: int) -> None:
-        """Re-authenticate one bucket from its live contents."""
-        bucket = self.tree.bucket(index)
-        preimages = [_slot_bytes(blk) for blk in bucket]
-        self._slot_preimages[index] = preimages
-        self._slot_meta[index] = [
-            None
-            if blk is None
-            else SlotMeta(blk.addr, blk.leaf, blk.version, blk.is_shadow, blk.payload)
-            for blk in bucket
+    def _store(self, index: int, bucket: list[Block | None], frames: bytes) -> None:
+        """Record ``bucket``'s live contents as its authenticated ones."""
+        self._frames[index] = frames
+        base = index * self.tree.z
+        self._payloads[base:base + len(bucket)] = [
+            None if blk is None else blk.payload for blk in bucket
         ]
-        self._digests[index] = self._node_digest(index, preimages)
 
     def _rebuild_all(self) -> None:
+        slots = self.tree._slots
+        z = self.tree.z
+        digests = self._digests
+        self._payloads = [None if blk is None else blk.payload for blk in slots]
         for index in range(self.tree.num_buckets - 1, -1, -1):
-            self._rehash(index)
+            frames = _bucket_frame(slots[index * z:index * z + z])
+            self._frames[index] = frames
+            digests[index] = self._node_digest(index, frames)
+
+    def _path(self, leaf: int) -> list[int]:
+        """Heap indices of path ``leaf``, leaf bucket first (range-checked)."""
+        num_leaves = self.tree.num_leaves
+        if not 0 <= leaf < num_leaves:
+            raise ValueError(f"leaf {leaf} out of range 0..{num_leaves - 1}")
+        index = num_leaves - 1 + leaf
+        path = [index]
+        while index:
+            index = (index - 1) >> 1
+            path.append(index)
+        return path
 
     # ------------------------------------------------------------------
     def verify_path(self, leaf: int) -> None:
         """Authenticate path ``leaf`` against the trusted root.
 
         Recomputes each path node's digest from the (untrusted) bucket
-        contents and the stored child digests; any mismatch along the way
-        — a tampered bucket, a stale digest, a forged sibling — raises
-        :class:`IntegrityError`.  One ``sha256`` pass per bucket.
+        contents and the stored child digests, leaf to root; any mismatch
+        along the way — a tampered bucket, a stale digest, a forged
+        sibling — raises :class:`IntegrityError`.  One ``sha256`` call
+        per bucket.
         """
-        path = self.tree.path_indices(leaf)
-        for index in reversed(path):
-            live = [_slot_bytes(blk) for blk in self.tree.bucket(index)]
+        slots = self.tree._slots
+        z = self.tree.z
+        for index in self._path(leaf):
+            live = _bucket_frame(slots[index * z:index * z + z])
             if self._node_digest(index, live) != self._digests[index]:
                 level = self.tree.level_of_bucket(index)
                 raise IntegrityError(
@@ -272,39 +298,52 @@ class MerkleTree:
     def update_path(self, leaf: int) -> bytes:
         """Re-hash path ``leaf`` after a path write; returns the new root.
 
-        Only the path nodes change (their buckets were rewritten); sibling
-        digests are reused, so the cost is O(L) hashes — the standard
-        Merkle update the hardware performs during Step-6.
+        Walks leaf to root.  A bucket whose live frames equal its stored
+        ones, with no deeper path bucket changed, keeps its digest: by the
+        invariant it already hashes exactly those contents and children (a
+        dummy read changes nothing on its path, a demand read only the
+        bucket that held the requested block).  At most O(L) hashes — the
+        standard Merkle update the hardware performs during Step-6.
         """
-        path = self.tree.path_indices(leaf)
-        for index in reversed(path):
-            self._rehash(index)
+        slots = self.tree._slots
+        z = self.tree.z
+        changed = False
+        for index in self._path(leaf):
+            bucket = slots[index * z:index * z + z]
+            live = _bucket_frame(bucket)
+            if live != self._frames[index]:
+                self._store(index, bucket, live)
+                changed = True
+            if changed:
+                self._digests[index] = self._node_digest(index, live)
         return self.root
 
     # ------------------------------------------------------------------
     # Localization + incremental rehash (the recovery primitives)
     # ------------------------------------------------------------------
     def _localize_bucket(self, index: int) -> list[CorruptSlot]:
-        bucket = self.tree.bucket(index)
-        expected = self._slot_preimages[index]
-        out: list[CorruptSlot] = []
-        for slot in range(len(bucket)):
-            if _slot_bytes(bucket[slot]) != expected[slot]:
-                out.append(
-                    CorruptSlot(
-                        bucket=index,
-                        level=self.tree.level_of_bucket(index),
-                        slot=slot,
-                        expected=self._slot_meta[index][slot],
-                        digest=self.slot_digest(index, slot),
-                    )
-                )
-        return out
+        z = self.tree.z
+        bucket = self.tree._slots[index * z:index * z + z]
+        stored = self._frames[index]
+        if _bucket_frame(bucket) == stored:
+            return []
+        level = self.tree.level_of_bucket(index)
+        return [
+            CorruptSlot(
+                bucket=index,
+                level=level,
+                slot=slot,
+                expected=self.slot_meta(index, slot),
+                digest=self.slot_digest(index, slot),
+            )
+            for slot, (blk, frame) in enumerate(zip(bucket, _split(stored)))
+            if _frame(blk) != frame
+        ]
 
     def localize(self, leaf: int) -> list[CorruptSlot]:
         """Every corrupt slot along path ``leaf``, root-ward first."""
         out: list[CorruptSlot] = []
-        for index in self.tree.path_indices(leaf):
+        for index in reversed(self._path(leaf)):
             out.extend(self._localize_bucket(index))
         return out
 
@@ -318,73 +357,17 @@ class MerkleTree:
     def rehash_bucket(self, index: int) -> bytes:
         """Re-authenticate bucket ``index`` and propagate to the root.
 
-        Used after a recovery heals a slot: the healed bucket gets fresh
-        slot pre-images/metadata, and every ancestor's node digest is
-        recomputed from its (unchanged) stored slot pre-images — O(L)
-        hashes.
+        Used after a recovery heals a slot: the healed bucket's live
+        contents become its authenticated ones, and every ancestor's node
+        digest is recomputed from its (unchanged) stored pre-images —
+        O(L) hashes.
         """
-        self._rehash(index)
+        z = self.tree.z
+        bucket = self.tree._slots[index * z:index * z + z]
+        frames = _bucket_frame(bucket)
+        self._store(index, bucket, frames)
+        self._digests[index] = self._node_digest(index, frames)
         while index > 0:
             index = (index - 1) // 2
-            self._digests[index] = self._node_digest(
-                index, self._slot_preimages[index]
-            )
+            self._digests[index] = self._node_digest(index, self._frames[index])
         return self.root
-
-
-class VerifiedOram:
-    """Controller wrapper enforcing Merkle verification per access.
-
-    Wraps a :class:`~repro.oram.tiny.TinyOramController` or
-    :class:`~repro.core.controller.ShadowOramController` so that every
-    access first authenticates the path it is about to read and re-hashes
-    whatever it rewrote::
-
-        controller = ShadowOramController(cfg, rng, shadow_cfg)
-        secured = VerifiedOram(controller)
-        secured.access(addr, "read")
-
-    Implemented as a wrapper (not a subclass) so it composes with both
-    controller types.  The integrated alternative — verification plus
-    self-healing recovery inside the controller itself — is enabled with
-    ``OramConfig(integrity=True)``; see :mod:`repro.oram.recovery`.
-    """
-
-    def __init__(self, controller) -> None:
-        self.controller = controller
-        self.merkle = MerkleTree(controller.tree)
-        self.verified_paths = 0
-
-    @property
-    def num_blocks(self) -> int:
-        return self.controller.num_blocks
-
-    def access(self, addr: int, op: str = "read", payload: object = None,
-               now: float = 0.0):
-        """Verify-before-read, re-hash-after-write, then serve the access."""
-        ctrl = self.controller
-        leaf = ctrl.posmap.lookup(addr)
-        self.merkle.verify_path(leaf)
-        self.verified_paths += 1
-        # Snapshot the eviction schedule: if this access triggers the RW
-        # eviction, the leaf it will use is fully determined *now* (the
-        # reverse-lexicographic counter advances deterministically), which
-        # lets us re-hash exactly the two rewritten paths afterwards
-        # instead of rebuilding the whole tree.
-        evict_leaf = ctrl._rev_table[
-            ctrl._eviction_counter % ctrl.config.num_leaves
-        ]
-        result = ctrl.access(addr, op, payload=payload, now=now)
-        # Any bucket the access rewrote lies on one of the touched paths:
-        # the read path always, plus the eviction path when an eviction
-        # ran.  Re-hashing both is O(L) — the same bound the hardware's
-        # Step-6 Merkle update enjoys.
-        self.merkle.update_path(leaf)
-        if result.evicted:
-            self.merkle.update_path(evict_leaf)
-        return result
-
-    def tamper(self, bucket_index: int, blk: Block | None) -> None:
-        """Adversarial mutation of untrusted memory (for tests/demos)."""
-        bucket = self.controller.tree.bucket(bucket_index)
-        bucket[0] = blk

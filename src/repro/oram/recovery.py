@@ -55,7 +55,6 @@ from repro.oram.integrity import (
     CorruptSlot,
     IntegrityError,
     MerkleTree,
-    _slot_bytes,
     _slot_digest,
 )
 
@@ -235,7 +234,7 @@ class RecoveryManager:
         for idx, slot, blk in self.controller.tree.iter_blocks():
             if blk.is_shadow:
                 continue
-            if _slot_bytes(blk) != self.merkle.slot_bytes(idx, slot):
+            if not self.merkle.is_authentic(idx, slot, blk):
                 continue  # unauthenticated slot: the heal pass owns it
             current = posmap.lookup(blk.addr)
             if current == blk.leaf:
@@ -443,7 +442,7 @@ class RecoveryManager:
         for idx, slot, cand in tree.iter_blocks():
             if cand.addr != addr or cand.is_shadow:
                 continue
-            if _slot_bytes(cand) != self.merkle.slot_bytes(idx, slot):
+            if not self.merkle.is_authentic(idx, slot, cand):
                 continue
             self.controller.posmap.repair(addr, cand.leaf)
             self.stats.posmap_repairs += 1

@@ -12,16 +12,21 @@ hypothesis-driven tests pin the equivalence:
   :class:`~repro.oram.derived.DerivedCache` tables vs a parent-pointer
   walk from the leaf bucket;
 * path scan: ``OramTree.read_path`` vs a per-bucket view scan;
-* Merkle digests: the batched pre-image hasher vs per-slot ``sha256``
-  digests, including localization under injected bit-flip-style faults
-  and post-heal re-verification;
+* Merkle digests: the framed one-hash-per-bucket engine vs the per-slot
+  hasher in ``tests/oram/merkle_oracle.py`` (every node digest after
+  every controller step, the slot directory, localization, scrubs and
+  error text under in-place bit flips and slot replacements, and a
+  snapshot/restore), plus per-slot ``sha256`` digests under injected
+  bit-flip-style faults and post-heal re-verification;
 * hot-cache hotness: the merged ``_all`` view vs a per-set scan;
 * posmap init memo: the cache-hit replay vs an uncached draw.
 """
 
 import hashlib
+from dataclasses import dataclass
 from random import Random
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -32,6 +37,7 @@ from repro.oram.block import Block
 from repro.oram.config import OramConfig
 from repro.oram.derived import DerivedCache, bit_reverse_table
 from repro.oram.integrity import (
+    IntegrityError,
     MerkleTree,
     _slot_bytes,
     _slot_digest,
@@ -39,6 +45,8 @@ from repro.oram.integrity import (
 from repro.oram.posmap import PositionMap
 from repro.oram.tiny import TinyOramController
 from repro.oram.tree import OramTree
+from tests.oram import merkle_oracle
+from tests.oram.merkle_oracle import OracleMerkleTree
 
 # ----------------------------------------------------------------------
 # Eviction-leaf order
@@ -165,6 +173,8 @@ blocks = st.builds(
 @settings(max_examples=100, deadline=None)
 def test_slot_digest_is_sha256_of_preimage(blk):
     assert _slot_digest(blk) == hashlib.sha256(_slot_bytes(blk)).digest()
+    assert _slot_bytes(blk) == merkle_oracle.slot_bytes(blk)
+    assert _slot_digest(blk) == merkle_oracle.slot_digest(blk)
 
 
 def _reference_corrupt_slots(merkle: MerkleTree) -> set[tuple[int, int]]:
@@ -248,6 +258,170 @@ def test_batched_localization_matches_per_slot_digest_reference(seed, flips):
     assert _reference_corrupt_slots(merkle) == set()
     for leaf in range(cfg.num_leaves):
         merkle.verify_path(leaf)  # must not raise
+
+
+# ----------------------------------------------------------------------
+# Merkle engine vs the per-slot oracle, driven by a live controller
+# ----------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Opaque:
+    """A payload with no canonical codec: it hashes through ``repr``."""
+
+    tag: int
+
+
+any_payload = st.one_of(
+    st.none(),
+    st.integers(),
+    st.text(max_size=6),
+    st.binary(max_size=6),
+    st.floats(allow_nan=False),
+    st.tuples(st.integers(), st.text(max_size=3)),
+    st.lists(st.integers(), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=3),
+    st.builds(Opaque, st.integers(min_value=0, max_value=9)),
+)
+
+forged_blocks = st.builds(
+    Block,
+    addr=st.integers(min_value=0, max_value=2**64 - 1),
+    leaf=st.integers(min_value=0, max_value=2**64 - 1),
+    version=st.integers(min_value=-(2**63), max_value=2**63 - 1),
+    payload=any_payload,
+    is_shadow=st.booleans(),
+)
+
+merkle_steps = st.lists(
+    st.one_of(
+        st.tuples(st.just("read"), st.integers(min_value=0)),
+        st.tuples(st.just("write"), st.integers(min_value=0), any_payload),
+        st.tuples(st.just("dummy")),
+        st.tuples(st.just("flip"), st.integers(min_value=0)),
+        st.tuples(st.just("replace"), st.integers(min_value=0), forged_blocks),
+    ),
+    min_size=1,
+    max_size=25,
+)
+
+
+def _verify_outcome(merkle, leaf):
+    try:
+        merkle.verify_path(leaf)
+    except IntegrityError as err:
+        return str(err)
+    return None
+
+
+def _assert_matches_rebuilt_oracle(merkle):
+    """Engine state == a from-scratch oracle rebuild over the same tree."""
+    tree = merkle.tree
+    oracle = OracleMerkleTree(tree)
+    assert merkle.root == oracle.root
+    assert merkle._digests[:tree.num_buckets] == oracle._digests
+    for index in range(tree.num_buckets):
+        for slot in range(tree.z):
+            assert merkle.slot_bytes(index, slot) == oracle.slot_bytes(index, slot)
+            assert merkle.slot_digest(index, slot) == oracle.slot_digest(index, slot)
+            assert merkle.slot_meta(index, slot) == oracle.slot_meta(index, slot)
+    assert merkle.verify_all() == oracle.verify_all() == []
+    return oracle
+
+
+def _assert_tamper_outputs_match(merkle, oracle):
+    """Both hashers localize and report a tampered tree identically."""
+    assert merkle.verify_all() == oracle.verify_all()
+    for leaf in range(merkle.tree.num_leaves):
+        assert merkle.localize(leaf) == oracle.localize(leaf)
+        assert _verify_outcome(merkle, leaf) == _verify_outcome(oracle, leaf)
+
+
+@given(
+    levels=st.integers(min_value=1, max_value=6),
+    z=st.integers(min_value=1, max_value=5),
+    partition=st.integers(min_value=0, max_value=7),
+    seed=st.integers(min_value=0, max_value=2**16),
+    steps=merkle_steps,
+)
+@settings(
+    max_examples=50, deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+def test_merkle_engine_matches_per_slot_oracle(levels, z, partition, seed,
+                                                steps):
+    cfg = OramConfig(levels=levels, z=z, a=3, integrity=True)
+    ctl = ShadowOramController(
+        cfg, Random(seed), ShadowConfig.static(min(partition, levels + 1))
+    )
+    merkle = ctl.integrity
+    oracle = _assert_matches_rebuilt_oracle(merkle)
+    slots = ctl.tree._slots
+    now = 0.0
+    for step in steps:
+        kind = step[0]
+        if kind == "flip":
+            # The injector's bit flip: mutate a tree-resident block in
+            # place, then undo it so the controller can go on.
+            occupied = [blk for blk in slots if blk is not None]
+            if occupied:
+                blk = occupied[step[1] % len(occupied)]
+                old_payload = blk.payload
+                blk.version ^= 1
+                blk.payload = ("bitflip", old_payload)
+                assert merkle.verify_all()
+                _assert_tamper_outputs_match(merkle, oracle)
+                blk.version ^= 1
+                blk.payload = old_payload
+        elif kind == "replace":
+            forged = step[2]
+            assert _slot_bytes(forged) == merkle_oracle.slot_bytes(forged)
+            pos = step[1] % len(slots)
+            original = slots[pos]
+            slots[pos] = forged
+            _assert_tamper_outputs_match(merkle, oracle)
+            slots[pos] = original
+        elif kind == "dummy":
+            now = ctl.dummy_access(now).finish
+        else:
+            addr = step[1] % ctl.num_blocks
+            payload = step[2] if kind == "write" else None
+            now = ctl.access(addr, kind, payload=payload, now=now).finish
+        oracle = _assert_matches_rebuilt_oracle(merkle)
+
+
+@pytest.mark.parametrize("levels", [3, 5])
+def test_tampering_after_restore_is_detected(levels):
+    """``restore_state`` rebinds ``tree._slots``; the engine reads the new list."""
+    cfg = OramConfig(levels=levels, z=4, a=3, integrity=True)
+    ctl = ShadowOramController(cfg, Random(levels), ShadowConfig.static(2))
+    rng = Random(7)
+    for i in range(30):
+        ctl.access(rng.randrange(ctl.num_blocks), "write", payload=i)
+    state = ctl.snapshot_state()
+    for _ in range(30):
+        ctl.access(rng.randrange(ctl.num_blocks), "read")
+    stale = ctl.tree._slots
+    ctl.restore_state(state)
+    assert ctl.tree._slots is not stale
+    merkle = ctl.integrity
+    _assert_matches_rebuilt_oracle(merkle)
+    for _ in range(10):
+        ctl.access(rng.randrange(ctl.num_blocks), "read")
+        _assert_matches_rebuilt_oracle(merkle)
+
+    # Writes to the list the restore replaced are not the tree any more.
+    stale[0] = Block(addr=1, leaf=0, version=99)
+    assert merkle.verify_all() == []
+
+    idx, slot, blk = next(iter(ctl.tree.iter_blocks()))
+    ctl.tree.bucket(idx)[slot] = Block(blk.addr, blk.leaf, blk.version + 1,
+                                       blk.payload, blk.is_shadow)
+    assert [(cs.bucket, cs.slot) for cs in merkle.verify_all()] == [(idx, slot)]
+    level = ctl.tree.level_of_bucket(idx)
+    leaf = (idx - (1 << level) + 1) << (levels - level)  # a leaf below idx
+    with pytest.raises(IntegrityError, match=f"at bucket {idx} "):
+        merkle.verify_path(leaf)
 
 
 # ----------------------------------------------------------------------

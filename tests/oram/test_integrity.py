@@ -8,11 +8,12 @@ from repro.core.config import ShadowConfig
 from repro.core.controller import ShadowOramController
 from repro.oram.block import Block
 from repro.oram.config import OramConfig
-from repro.oram.integrity import IntegrityError, MerkleTree, VerifiedOram
+from repro.oram.integrity import IntegrityError, MerkleTree
 from repro.oram.tiny import TinyOramController
 from repro.oram.tree import OramTree
 
-CFG = OramConfig(levels=5, z=4, a=3, utilization=0.25, stash_capacity=150)
+SECURE = OramConfig(levels=5, z=4, a=3, utilization=0.25, stash_capacity=150,
+                    integrity=True)
 
 
 class TestMerkleTree:
@@ -75,31 +76,78 @@ class TestMerkleTree:
         assert merkle.root != root_empty
 
 
-class TestVerifiedOram:
+class TestIntegratedIntegrity:
+    """``OramConfig(integrity=True)``: every path is verified before it is read."""
+
     @pytest.mark.parametrize("kind", ["tiny", "shadow"])
     def test_normal_operation_verifies_clean(self, kind):
         if kind == "tiny":
-            inner = TinyOramController(CFG, Random(1))
+            ctl = TinyOramController(SECURE, Random(1))
         else:
-            inner = ShadowOramController(CFG, Random(1), ShadowConfig.static(2))
-        oram = VerifiedOram(inner)
+            ctl = ShadowOramController(SECURE, Random(1), ShadowConfig.static(2))
+        merkle = ctl.integrity
+        verified = []
+        verify = merkle.verify_path
+
+        def counting_verify(leaf):
+            verified.append(leaf)
+            verify(leaf)
+
+        merkle.verify_path = counting_verify
         rng = Random(2)
         model = {}
         for i in range(200):
-            addr = rng.randrange(oram.num_blocks)
+            addr = rng.randrange(ctl.num_blocks)
             if rng.random() < 0.4:
-                oram.access(addr, "write", payload=i)
+                ctl.access(addr, "write", payload=i)
                 model[addr] = i
             else:
-                assert oram.access(addr, "read").value == model.get(addr)
-        assert oram.verified_paths == 200
+                assert ctl.access(addr, "read").value == model.get(addr)
+        # Demand, dummy and eviction paths alike are verified before the
+        # read, and the tree stays authenticated throughout.
+        assert len(verified) == ctl.stats.path_reads > 0
+        assert merkle.verify_all() == []
 
     def test_tampering_is_caught(self):
-        inner = TinyOramController(CFG, Random(1))
-        oram = VerifiedOram(inner)
-        oram.access(0, "read")
+        ctl = TinyOramController(SECURE, Random(1))
+        ctl.access(0, "read")
         # Adversary overwrites the root bucket in untrusted memory.
-        oram.tamper(0, Block(addr=5, leaf=0, version=9))
-        with pytest.raises(IntegrityError):
-            for addr in range(oram.num_blocks):
-                oram.access(addr, "read")
+        ctl.tree.bucket(0)[0] = Block(addr=5, leaf=0, version=9)
+        with pytest.raises(IntegrityError, match="bucket 0 "):
+            for addr in range(ctl.num_blocks):
+                ctl.access(addr, "read")
+
+
+FORGERIES = {
+    "negative-addr": lambda blk: Block(addr=-5, leaf=blk.leaf,
+                                       version=blk.version),
+    "version-2**63": lambda blk: Block(addr=blk.addr, leaf=blk.leaf,
+                                       version=2**63),
+    "addr-2**64": lambda blk: Block(addr=2**64, leaf=blk.leaf,
+                                    version=blk.version),
+}
+
+
+class TestForgedSlots:
+    """Slot fields that do not fit the encoding fail verification cleanly."""
+
+    @pytest.mark.parametrize("forgery", sorted(FORGERIES))
+    @pytest.mark.parametrize("policy", ["raise", "recover"])
+    def test_forged_slot_is_detected_not_crashing(self, policy, forgery):
+        cfg = OramConfig(levels=4, integrity=True, recovery=policy)
+        ctl = TinyOramController(cfg, Random(3))
+        idx, slot, blk = next(
+            (i, s, b) for i, s, b in ctl.tree.iter_blocks()
+            if ctl.tree.level_of_bucket(i) > 0
+        )
+        ctl.tree.bucket(idx)[slot] = FORGERIES[forgery](blk)
+        if policy == "raise":
+            with pytest.raises(IntegrityError, match=f"at bucket {idx} "):
+                ctl.access(blk.addr, "read")
+            return
+        # The demand path holds the forged slot; recovery rebuilds the
+        # block from the directory before the read.
+        assert ctl.access(blk.addr, "read").value == blk.payload
+        assert ctl.recovery.stats.recoveries == 1
+        assert ctl.recovery.stats.recovered_from == {"rebuild": 1}
+        assert ctl.integrity.verify_all() == []
