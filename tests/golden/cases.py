@@ -34,6 +34,16 @@ directly on the hot read workload of ``tests/oram/test_ring.py`` and
 digest every :class:`~repro.oram.tiny.AccessResult`, the adversary
 trace, the span trees, and the final tree, stash, position map,
 ``stats_*`` counters and RNG state.
+
+The serve case drives one :class:`~repro.serve.OramServeBridge`
+(dynamic-3, default geometry) through a seeded access sequence and
+digests every :class:`~repro.serve.ServedAccess` plus the final
+``state_digest()``, which covers the controller snapshot: tree, stash
+FIFO order, position map, RNG, hot cache and the Rule-2 source level of
+every stashed shadow.  The shard case drives a 4-shard in-process
+:class:`~repro.shard.ShardSupervisor` (snapshots off) through seeded
+rounds and digests the served accesses, the padded ``(round, shard)``
+dispatch trace and the fleet ``state_digest()``.
 """
 
 from __future__ import annotations
@@ -41,6 +51,7 @@ from __future__ import annotations
 from dataclasses import asdict
 from hashlib import sha256
 from random import Random
+from tempfile import TemporaryDirectory
 
 from repro.faults import FaultPlan
 from repro.mem.dram import DramConfig
@@ -55,6 +66,8 @@ from repro.oram.config import OramConfig
 from repro.oram.ring import RingConfig, RingOramController
 from repro.security.adversary import AccessPatternObserver
 from repro.serialize import canonical_json, dataclass_to_dict, stable_hash
+from repro.serve import OramServeBridge
+from repro.shard import ShardSettings, ShardSupervisor
 from repro.system.config import SystemConfig
 from repro.system.simulator import simulate
 
@@ -97,6 +110,11 @@ RING_CASES = {
     for shadows in (False, True)
     for dram in (False, True)
 }
+
+# Bridge accesses and fleet rounds: seeded addresses over the first
+# SERVE_RANGE blocks, about 10% writes.
+SERVE_CASES = {"serve/dynamic-3": 3_000, "shard/dynamic-3-x4": 500}
+SERVE_RANGE = 2_000
 
 
 def _strip_wall(span: dict) -> dict:
@@ -231,12 +249,56 @@ def run_ring_case(name: str) -> dict[str, str]:
     }
 
 
+def _drive_served(frontend, accesses: int) -> str:
+    """Apply the seeded serve sequence; digest what every access served."""
+    rng = Random(21)
+    served = []
+    for i in range(accesses):
+        addr = rng.randrange(SERVE_RANGE)
+        if rng.random() < 0.1:
+            out = frontend.access(addr, "write", f"v{i}")
+        else:
+            out = frontend.access(addr, "read")
+        served.append(asdict(out))
+    return stable_hash(served)
+
+
+def run_serve_case(name: str) -> dict[str, str]:
+    """Digests of one bridge or shard-fleet run on the serve sequence."""
+    accesses = SERVE_CASES[name]
+    config = SystemConfig.dynamic(3)
+    if name.startswith("serve/"):
+        bridge = OramServeBridge(config, seed=5)
+        served = _drive_served(bridge, accesses)
+        return {"served": served, "state": bridge.state_digest()}
+    dispatch: list = []
+    with TemporaryDirectory() as state_dir:
+        fleet = ShardSupervisor(
+            config, seed=5, state_dir=state_dir,
+            settings=ShardSettings(num_shards=4, checkpoint_every=0),
+            trace=dispatch.append,
+        )
+        fleet.start()
+        try:
+            served = _drive_served(fleet, accesses)
+            state = fleet.state_digest()
+        finally:
+            fleet.close()
+    return {
+        "served": served,
+        "dispatch": stable_hash(dispatch),
+        "state": state,
+    }
+
+
 def run_case(name: str) -> dict[str, str]:
     if name in SIM_CASES:
         return run_sim_case(name)
     if name in RECOVER_CASES:
         return run_recover_case(name)
+    if name in SERVE_CASES:
+        return run_serve_case(name)
     return run_ring_case(name)
 
 
-ALL_CASES = [*SIM_CASES, *RECOVER_CASES, *RING_CASES]
+ALL_CASES = [*SIM_CASES, *RECOVER_CASES, *RING_CASES, *SERVE_CASES]
