@@ -24,7 +24,6 @@ unchanged from the baseline — the security tests in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
 from random import Random
 
 from repro.core.config import ShadowConfig
@@ -48,16 +47,12 @@ from repro.obs.events import (
 )
 from repro.oram.block import Block
 from repro.oram.config import OramConfig
-from repro.oram.stash import StashOverflowError
 from repro.oram.tiny import (
     SERVED_SHADOW_STASH,
     AccessResult,
     Observer,
     TinyOramController,
 )
-
-
-_SHADOW_HOTNESS = itemgetter(0)
 
 
 @dataclass(slots=True)
@@ -110,19 +105,6 @@ class ShadowOramController(TinyOramController):
         )
         self.partition = self._build_partition_policy()
         self.shadow_stats = ShadowStats()
-        # Track the level each shadow block was stored at so a re-evicted
-        # stash shadow keeps satisfying Rule-2 (strictly root-ward of its
-        # original); maps addr -> source level.
-        self._shadow_source_level: dict[int, int] = {}
-        # Monotonic stash-arrival stamp per shadow address.  Candidate
-        # selection needs stash-FIFO order for equally-hot shadows; the
-        # stamp lets :meth:`_fill_dummies` recover that order for the few
-        # hot-cache-tracked shadows it collects out of FIFO order.  Values
-        # are compared, never iterated, so stale entries for dropped
-        # shadows are harmless (re-insertion overwrites with a fresh
-        # stamp).
-        self._shadow_seq: dict[int, int] = {}
-        self._shadow_seq_next = 0
 
     def _build_partition_policy(self) -> PartitionPolicy:
         max_level = self.config.levels + 1
@@ -221,55 +203,10 @@ class ShadowOramController(TinyOramController):
     # Shadow bookkeeping on path reads
     # ------------------------------------------------------------------
     def _stash_insert(self, blk: Block, level: int) -> None:
-        # :meth:`Stash.insert` inlined (it stays the canonical reference
-        # implementation): this runs once per block absorbed on every path
-        # read and eviction read, and the call dispatch plus re-deriving
-        # which merge rule fired afterwards is measurable there.
-        stash = self.stash
-        real = stash._real
-        shadow = stash._shadow
-        addr = blk.addr
-        if blk.is_shadow:
-            if addr in real or addr in shadow:
-                stash.merges += 1
-                return
-            if len(real) + len(shadow) + 1 > stash.capacity and shadow:
-                del shadow[next(iter(shadow))]
-                stash.shadow_drops += 1
-            shadow[addr] = blk
-            # The shadow survived the merge rules: remember the level it
-            # came from, which bounds where a re-evicted copy may go
-            # (Rule-2: strictly root-ward of the original).
-            self._shadow_source_level[addr] = level
-            self._shadow_seq[addr] = self._shadow_seq_next
-            self._shadow_seq_next += 1
-            if stash.bus._subs:
-                stash._emit_occupancy()
-            return
-
-        if shadow.pop(addr, None) is not None:
-            stash.merges += 1
-        if addr in real:
-            raise StashOverflowError(
-                f"duplicate real block for addr {addr}: the single-version "
-                "invariant was violated upstream"
-            )
-        nreal = len(real)
-        if nreal >= stash.capacity:
-            raise StashOverflowError(
-                f"stash overflow: capacity {stash.capacity} exceeded"
-            )
-        real[addr] = blk
-        nreal += 1
-        if nreal + len(shadow) > stash.capacity and shadow:
-            del shadow[next(iter(shadow))]
-            stash.shadow_drops += 1
-        if nreal > stash.peak_real:
-            stash.peak_real = nreal
-        # A real arrival merged away any stashed shadow of this addr.
-        self._shadow_source_level.pop(addr, None)
-        if stash.bus._subs:
-            stash._emit_occupancy()
+        # The stash owns the merge rules and each shadow's source level
+        # (Rule-2) and arrival stamp; this override only keeps the
+        # per-class seam that ``perfbench/layers.py`` times by name.
+        self.stash.insert(blk, level)
 
     # ------------------------------------------------------------------
     # Shadow generation on path writes (Algorithm 1)
@@ -284,10 +221,20 @@ class ShadowOramController(TinyOramController):
         """Algorithm 1: gather duplication candidates, then place shadows.
 
         Candidates are the blocks just written back on this path plus the
-        hottest few eligible stash shadows; selection and placement are
+        hottest few eligible stash shadows, those with a source level
+        above the root; selection and placement are
         :func:`repro.core.queues.place_shadows`, the routine Ring ORAM's
         path writes run too.  The differential suite checks it against
         the class-based queue oracle in ``tests/core/queue_oracle.py``.
+
+        The stash shadows are the ones a full FIFO scan plus a stable
+        descending hotness sort would rank first, found without touching
+        every stashed shadow: a shadow with a nonzero counter is in the
+        Hot Address Cache (at most 128 entries), so the hot ones are the
+        stashed part of its merged view, sorted once on (hotness
+        descending, stash arrival); the rest have hotness 0 and rank
+        after them in FIFO order, so a FIFO walk that skips hot-tracked
+        addresses tops the list up to the cap.
         """
         cfg = self.config
         bus = self.bus
@@ -297,7 +244,8 @@ class ShadowOramController(TinyOramController):
         # Hot-cache lookups are inlined (``hotness(addr)`` is one get on
         # the cache's merged view): this loop body runs for every
         # written-back block and every stashed shadow on every path write.
-        hot_get = self.hot_cache._all.get
+        hot_all = self.hot_cache._all
+        hot_get = hot_all.get
         # Candidate arrays.  Indices < n_placed are blocks written back on
         # this very path (automatically Rule-1-safe); indices >= n_placed
         # are re-evicted stash shadows.
@@ -308,57 +256,39 @@ class ShadowOramController(TinyOramController):
             bounds.append(level)
             hots.append(hot_get(blk.addr, 0))
             blocks.append(blk)
+        n_placed = len(blocks)
         # Evictable shadow blocks from the stash (Section V-B-2).  The
         # hardware queues are small, so cap the stash-shadow candidates to
-        # the hottest few that can actually land on this path.
-        source_level = self._shadow_source_level
+        # the hottest few.
+        stash = self.stash
+        shadow_store = stash._shadow
+        source_level = stash._shadow_source_level
         get_level = source_level.get
-        shadow_store = self.stash._shadow
-        # Eligible stash shadows, hottest first, FIFO order among equals —
-        # the same list a full FIFO scan + stable descending hotness sort
-        # would produce, built without touching every stashed shadow:
-        #
-        # * shadows with a nonzero counter must appear in the hot cache,
-        #   so enumerating its merged view (bounded by cache capacity,
-        #   128 entries) finds them all; their stash-FIFO order is
-        #   recovered from the arrival stamps before the stable hotness
-        #   sort, matching the reference's scan order for equal counters;
-        # * every other eligible shadow has hotness 0 and ranks below all
-        #   of the above in FIFO order, so a FIFO walk that skips
-        #   hot-tracked addresses and stops once the candidate cap is
-        #   reachable yields exactly the entries the reference's sorted
-        #   tail would contribute.
-        hot_all = self.hot_cache._all
-        eligible_shadows: list[tuple[int, int, Block]] = []
-        eligible_append = eligible_shadows.append
-        for addr, count in hot_all.items():
+        arrival = stash._shadow_seq
+        cap = self._STASH_SHADOW_CANDIDATES
+        hot: list[tuple[int, int, int, Block]] = []
+        for addr in hot_all.keys() & shadow_store.keys():
             lvl = get_level(addr, 0)
             if lvl > 0:
-                sblk = shadow_store.get(addr)
-                if sblk is not None:
-                    eligible_append((count, lvl, sblk))
-        if len(eligible_shadows) > 1:
-            seq = self._shadow_seq
-            eligible_shadows.sort(key=lambda hls: seq[hls[2].addr])
-            eligible_shadows.sort(key=_SHADOW_HOTNESS, reverse=True)
-        cold_needed = self._STASH_SHADOW_CANDIDATES - len(eligible_shadows)
+                hot.append((-hot_all[addr], arrival[addr], lvl, shadow_store[addr]))
+        hot.sort()
+        for neg_hotness, _arrival, lvl, sblk in hot[:cap]:
+            bounds.append(lvl)
+            hots.append(-neg_hotness)
+            blocks.append(sblk)
+        cold_needed = cap - len(hot)
         if cold_needed > 0:
             for addr, sblk in shadow_store.items():
                 if addr in hot_all:
                     continue
                 lvl = get_level(addr, 0)
                 if lvl > 0:
-                    eligible_append((0, lvl, sblk))
+                    bounds.append(lvl)
+                    hots.append(0)
+                    blocks.append(sblk)
                     cold_needed -= 1
                     if cold_needed == 0:
                         break
-        n_placed = len(blocks)
-        for shadow_hotness, lvl, sblk in (
-            eligible_shadows[: self._STASH_SHADOW_CANDIDATES]
-        ):
-            bounds.append(lvl)
-            hots.append(shadow_hotness)
-            blocks.append(sblk)
 
         on_place = None
         if observed:
@@ -389,7 +319,7 @@ class ShadowOramController(TinyOramController):
         for idx in range(n_placed, len(blocks)):
             if used[idx]:
                 addr = blocks[idx].addr
-                self.stash.remove_shadow(addr)
+                stash.remove_shadow(addr)
                 source_level.pop(addr, None)
                 sstats.stash_shadow_reevictions += 1
         if observed:
@@ -413,7 +343,8 @@ class ShadowOramController(TinyOramController):
         state["partition"] = self.partition.snapshot_state()
         state["shadow_stats"] = dataclass_to_dict(self.shadow_stats)
         state["shadow_source_level"] = [
-            [addr, level] for addr, level in self._shadow_source_level.items()
+            [addr, level]
+            for addr, level in self.stash._shadow_source_level.items()
         ]
         return state
 
@@ -426,15 +357,7 @@ class ShadowOramController(TinyOramController):
         self.shadow_stats = dataclass_from_dict(
             ShadowStats, state["shadow_stats"]
         )
-        # Re-stamp restored shadows in their (checkpoint-preserved) FIFO
-        # order.  Absolute stamp values differ from the uninterrupted run
-        # but only their relative order is ever compared, so selection —
-        # and therefore the simulation — stays bit-identical.
-        self._shadow_seq = {
-            addr: seq for seq, addr in enumerate(self.stash._shadow)
-        }
-        self._shadow_seq_next = len(self._shadow_seq)
-        self._shadow_source_level = {
+        self.stash._shadow_source_level = {
             int(addr): int(level)
             for addr, level in state["shadow_source_level"]
         }

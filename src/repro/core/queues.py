@@ -82,43 +82,41 @@ def place_shadows(
     """
     levels = len(fill) - 1
     ncand = len(blocks)
-    # Rule-1 bounds: the deepest level a candidate's own path shares with
-    # the eviction path (inlined OramTree.common_level).  Blocks written
-    # back on this path get an unbounded ``levels + 1``, so the scan loop
-    # uses one ``rule1[idx] < level`` test for everybody.
-    rule1 = [levels + 1] * n_path
-    for idx in range(n_path, ncand):
-        diff = blocks[idx].leaf ^ leaf
-        rule1.append(levels if diff == 0 else levels - diff.bit_length())
-    max_bound = max(bounds, default=-1)
     used = [False] * ncand
 
-    # Deepest-bound-first activation schedule.  A candidate is eligible
-    # (Rule-1 aside) once the level drops strictly below its bound; a
-    # selection then lowers the bound to the level just placed at, which
-    # is still deeper than every level yet to come — so eligibility, once
-    # gained, is never lost, ``active`` grows monotonically as the walk
-    # descends, and no per-candidate ``level >= bound`` test is needed.
-    # ``insort`` keeps ``active`` in candidate order, the queues' scan
-    # order.
-    activation = sorted(zip(bounds, range(ncand)))
+    # Activation schedule.  A candidate may take a copy at ``level`` once
+    # the level is strictly root-ward of its bound (Rule-2) and at or
+    # above the deepest level its own path shares with this one (Rule-1,
+    # inlined OramTree.common_level; blocks written back on this path
+    # share all of it).  Both rules only get easier as the walk climbs,
+    # and a selection lowers the bound to the level just placed at, which
+    # every later level is above — so a candidate activates once, at
+    # ``min(bound - 1, rule1)``, stays eligible up to the root, and the
+    # scan loops need no per-candidate rule test.  ``insort`` keeps
+    # ``active`` in candidate order, the queues' scan order.
+    activation = [(bounds[idx] - 1, idx) for idx in range(n_path)]
+    for idx in range(n_path, ncand):
+        diff = blocks[idx].leaf ^ leaf
+        rule1 = levels if diff == 0 else levels - diff.bit_length()
+        bound = bounds[idx] - 1
+        activation.append((bound if bound < rule1 else rule1, idx))
+    activation.sort()
     act_ptr = ncand - 1
+    max_active = activation[-1][0] if activation else -1
     active: list[int] = []
 
     rd_selected = hd_selected = 0
     use_hd = False
     for level in range(levels, -1, -1):
         free = stride - reserve - fill[level]
-        if free <= 0 or level >= max_bound:
-            # No free slot, or no candidate can satisfy Rule-2 here: every
-            # bound is at most ``max_bound`` (selection only lowers
-            # bounds) and eligibility needs a strictly deeper one.
+        if free <= 0 or level > max_active:
+            # No free slot, or no candidate is eligible this deep.
             continue
         if uses_hd is not None:
             use_hd = uses_hd(level)
         while act_ptr >= 0:
-            bound, idx = activation[act_ptr]
-            if bound <= level:
+            act_level, idx = activation[act_ptr]
+            if act_level < level:
                 break
             insort(active, idx)
             act_ptr -= 1
@@ -131,8 +129,6 @@ def place_shadows(
         best: list[tuple[int, int]] = []
         nbest = 0
         for idx in active:
-            if rule1[idx] < level:
-                continue
             priority = priority_of[idx]
             if nbest < free:
                 best.append((priority, idx))
@@ -149,8 +145,10 @@ def place_shadows(
         else:
             rd_selected += nbest
         base = level * stride + fill[level]
+        # Highest priority first; a reverse sort is stable, so equal
+        # priorities keep their best-list order.
         for offset, (_priority, idx) in enumerate(
-            sorted(best, key=lambda pc: -pc[0])
+            sorted(best, key=_PRIORITY, reverse=True)
         ):
             bounds[idx] = level
             used[idx] = True

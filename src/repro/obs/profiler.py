@@ -115,12 +115,13 @@ def profile_run(
             prof.wrap(controller, "dummy_access", "dummy requests")
             stash = getattr(controller, "stash", None)
             if stash is not None:
-                # Inserts are wrapped at the controller seam, not
-                # ``stash.insert``: the shadow controller inlines the
-                # insert body into ``_stash_insert``, so wrapping the
-                # stash method would silently measure nothing there (the
-                # profiler smoke test pins this).
+                # The requested block goes through the controller's
+                # ``_stash_insert`` and eviction reads call
+                # ``stash.insert``; the shadows a request read caches are
+                # inserted inline in ``_path_read`` and count as
+                # ``oram access``.
                 prof.wrap(controller, "_stash_insert", "stash scan")
+                prof.wrap(stash, "insert", "stash scan")
                 prof.wrap(stash, "lookup_real", "stash scan")
                 prof.wrap(stash, "lookup_shadow", "stash scan")
             integrity = getattr(controller, "integrity", None)

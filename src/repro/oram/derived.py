@@ -1,26 +1,13 @@
-"""Epoch-keyed cache of invariant-derived values.
+"""Geometry-derived tables shared across controllers.
 
-Several quantities the hot path needs on every access are pure functions
-of the tree geometry: the reverse-lexicographic eviction order (a bit
-reversal of the eviction counter), the flat-store base offset of each
-bucket along a path, the per-level DRAM channel / row-group assignment.
-Before the flat-layout refactor each of these was recomputed inline per
-access; this module memoizes them once and hands out shared read-only
-tables.
-
-Geometry-only tables (:func:`bit_reverse_table`) are process-wide LRU
-caches.  Per-tree tables go through
-:class:`DerivedCache`, which snapshots the tree's ``epoch`` at build time
-and rebuilds lazily after a structural mutation (``restore_state`` bumps
-``tree.epoch``) — contents mutation through buckets never invalidates,
-because none of the cached values depend on contents.
+The reverse-lexicographic eviction order (a bit reversal of the eviction
+counter) is a pure function of the tree depth, so it is computed once per
+depth and handed out as a shared read-only table.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-
-from repro.oram.tree import OramTree
 
 
 @lru_cache(maxsize=64)
@@ -43,51 +30,3 @@ def bit_reverse_table(bits: int) -> tuple[int, ...]:
             v >>= 1
         table[value] = out
     return tuple(table)
-
-
-class DerivedCache:
-    """Per-tree memo of path-index tables, keyed by the tree's epoch.
-
-    Args:
-        tree: The tree whose geometry is being derived from.  The cache
-            observes ``tree.epoch`` and drops its tables when it changes.
-    """
-
-    __slots__ = ("tree", "_epoch", "_path_bases", "_path_indices")
-
-    def __init__(self, tree: OramTree) -> None:
-        self.tree = tree
-        self._epoch = tree.epoch
-        self._path_bases: dict[int, tuple[int, ...]] = {}
-        self._path_indices: dict[int, tuple[int, ...]] = {}
-
-    def _check_epoch(self) -> None:
-        if self.tree.epoch != self._epoch:
-            self._epoch = self.tree.epoch
-            self._path_bases.clear()
-            self._path_indices.clear()
-
-    def path_bases(self, leaf: int) -> tuple[int, ...]:
-        """Flat-store base offsets of path ``leaf``, root -> leaf (cached)."""
-        self._check_epoch()
-        cached = self._path_bases.get(leaf)
-        if cached is None:
-            tree = self.tree
-            levels = tree.levels
-            z = tree.z
-            cached = tuple(
-                ((1 << level) - 1 + (leaf >> (levels - level))) * z
-                for level in range(levels + 1)
-            )
-            self._path_bases[leaf] = cached
-        return cached
-
-    def path_indices(self, leaf: int) -> tuple[int, ...]:
-        """Heap indices of path ``leaf``'s buckets, root -> leaf (cached)."""
-        self._check_epoch()
-        cached = self._path_indices.get(leaf)
-        if cached is None:
-            z = self.tree.z
-            cached = tuple(base // z for base in self.path_bases(leaf))
-            self._path_indices[leaf] = cached
-        return cached

@@ -19,6 +19,8 @@ occupancy distributions against the baseline.
 
 from __future__ import annotations
 
+from collections import OrderedDict
+
 from repro.obs.events import EventBus, StashOccupancy
 from repro.oram.block import Block
 
@@ -35,6 +37,21 @@ class StashOverflowError(RuntimeError):
 class Stash:
     """Bounded stash holding real blocks plus replaceable shadow blocks.
 
+    Real blocks live in an addr-keyed dict; shadow blocks in an
+    :class:`~collections.OrderedDict` whose order is the shadow FIFO, so
+    dropping the oldest shadow is one ``popitem(last=False)``.  The stash
+    also owns the Rule-2 bookkeeping of every shadow it keeps:
+
+    * ``_shadow_source_level[addr]``: the tree level the shadow was read
+      from.  A re-evicted copy must go strictly root-ward of it.  Set when
+      a shadow is kept; dropped when a real copy of ``addr`` arrives, and
+      by the shadow controller when it re-evicts the shadow.  A shadow
+      dropped FIFO or removed leaves a stale entry, which nothing reads
+      (lookups go through the shadow store first) but checkpoints carry.
+    * ``_shadow_seq[addr]``: a monotonic arrival stamp, so a caller that
+      collects shadows out of FIFO order can sort them back into it.
+      Only relative order is ever compared.
+
     Args:
         capacity: Maximum number of *real* blocks (paper: ``M``, e.g. 200).
             Shadow blocks squat in whatever space is left and are evicted
@@ -50,7 +67,10 @@ class Stash:
         self.capacity = capacity
         self.bus = bus if bus is not None else EventBus()
         self._real: dict[int, Block] = {}
-        self._shadow: dict[int, Block] = {}
+        self._shadow: OrderedDict[int, Block] = OrderedDict()
+        self._shadow_source_level: dict[int, int] = {}
+        self._shadow_seq: dict[int, int] = {}
+        self._shadow_seq_next = 0
         self.peak_real = 0
         self.shadow_drops = 0
         self.merges = 0
@@ -107,28 +127,36 @@ class Stash:
     # ------------------------------------------------------------------
     # Mutation
     # ------------------------------------------------------------------
-    def insert(self, blk: Block) -> None:
-        """Insert a block arriving from a path read, applying merge rules.
+    def insert(self, blk: Block, level: int = 0) -> None:
+        """Insert a block read from tree ``level``, applying merge rules.
 
         Merge semantics (Section IV-A):
 
         * incoming real + stashed shadow -> shadows discarded, real kept;
         * incoming shadow + stashed real -> incoming discarded;
         * incoming shadow + stashed shadow -> merged into a single shadow.
+
+        A shadow only takes space that is left (Rule-3): in a full stash
+        it replaces the oldest shadow, or is dropped itself when every
+        entry is real.  A kept shadow records ``level`` as its source
+        level and gets the next arrival stamp.
         """
         real = self._real
         shadow = self._shadow
         addr = blk.addr
         if blk.is_shadow:
-            if addr in real or addr in shadow:
+            if addr in shadow or addr in real:
                 self.merges += 1
                 return
-            if len(real) + len(shadow) + 1 > self.capacity and shadow:
-                # FIFO shadow drop: the insertion-ordered ``_shadow`` dict
-                # is the shadow free-list, its first key the oldest entry.
-                del shadow[next(iter(shadow))]
+            if len(real) + len(shadow) >= self.capacity:
                 self.shadow_drops += 1
+                if not shadow:
+                    return
+                shadow.popitem(last=False)
             shadow[addr] = blk
+            self._shadow_source_level[addr] = level
+            self._shadow_seq[addr] = self._shadow_seq_next
+            self._shadow_seq_next += 1
             if self.bus._subs:
                 self._emit_occupancy()
             return
@@ -148,10 +176,11 @@ class Stash:
         real[addr] = blk
         nreal += 1
         if nreal + len(shadow) > self.capacity and shadow:
-            del shadow[next(iter(shadow))]
+            shadow.popitem(last=False)
             self.shadow_drops += 1
         if nreal > self.peak_real:
             self.peak_real = nreal
+        self._shadow_source_level.pop(addr, None)
         if self.bus._subs:
             self._emit_occupancy()
 
@@ -174,11 +203,6 @@ class Stash:
             self._emit_occupancy()
         return blk
 
-    def discard(self, addr: int) -> None:
-        """Drop every copy of ``addr`` (used when data is invalidated)."""
-        self._real.pop(addr, None)
-        self._shadow.pop(addr, None)
-
     def repair_shadow(self, addr: int, blk: Block) -> None:
         """Replace the stashed shadow for ``addr`` with a healed copy.
 
@@ -186,7 +210,7 @@ class Stash:
         the tree slot it was absorbed from, so a fault that corrupts the
         tree copy corrupts the stash alias too.  Recovery calls this to
         re-sync the stash after healing the tree slot.  Assigning to an
-        existing key preserves dict order, so the FIFO shadow-drop
+        existing key preserves its FIFO position, so the shadow-drop
         sequence — and with it bit-identity — is unaffected.
         """
         if addr in self._shadow:
@@ -196,7 +220,12 @@ class Stash:
     # Checkpointing
     # ------------------------------------------------------------------
     def snapshot_state(self) -> dict[str, object]:
-        """Checkpointable rendering; preserves FIFO insertion order."""
+        """Checkpointable rendering; preserves FIFO insertion order.
+
+        Source levels are not part of it: the shadow controller
+        checkpoints them next to the stash (``shadow_source_level``), so a
+        baseline or Ring ORAM stash renders as it always has.
+        """
         from repro.oram.block import block_to_jsonable
 
         return {
@@ -208,17 +237,25 @@ class Stash:
         }
 
     def restore_state(self, state: dict[str, object]) -> None:
-        """Inverse of :meth:`snapshot_state`."""
+        """Inverse of :meth:`snapshot_state`; source levels start empty.
+
+        Restored shadows are re-stamped in their FIFO order.  The stamps
+        differ from an uninterrupted run's, but only their relative order
+        is compared, so the continuation stays bit-identical.
+        """
         from repro.oram.block import block_from_jsonable
 
         self._real = {}
         for data in state["real"]:
             blk = block_from_jsonable(data)
             self._real[blk.addr] = blk
-        self._shadow = {}
+        self._shadow = OrderedDict()
         for data in state["shadow"]:
             blk = block_from_jsonable(data)
             self._shadow[blk.addr] = blk
+        self._shadow_source_level = {}
+        self._shadow_seq = {addr: seq for seq, addr in enumerate(self._shadow)}
+        self._shadow_seq_next = len(self._shadow_seq)
         self.peak_real = state["peak_real"]
         self.shadow_drops = state["shadow_drops"]
         self.merges = state["merges"]

@@ -40,7 +40,7 @@ from repro.obs.events import (
 )
 from repro.oram.block import Block
 from repro.oram.config import OramConfig
-from repro.oram.derived import DerivedCache, bit_reverse_table
+from repro.oram.derived import bit_reverse_table
 from repro.oram.posmap import PositionMap
 from repro.oram.stash import Stash
 from repro.oram.tree import OramTree
@@ -267,12 +267,21 @@ class TinyOramController:
         self.post_access_hook: Callable[[AccessResult], None] | None = None
         self._ro_since_eviction = 0
         self._eviction_counter = 0
-        # Derived-value caches (hot-path data layout): the eviction-order
-        # bit-reversal table, per-leaf flat-store offsets, and a reusable
-        # per-level path-base buffer for _path_read.
+        # Geometry the hot path reads instead of recomputing it per
+        # access: the eviction-order bit-reversal table, the address-space
+        # size, the DRAM-resident blocks of one path (treetop excluded),
+        # and one ``(offset, shift)`` pair per level, root first: the
+        # bucket at ``level`` on path ``leaf`` starts at flat slot
+        # ``offset + (leaf >> shift) * z``.
         self._rev_table = bit_reverse_table(config.levels)
-        self.derived = DerivedCache(self.tree)
-        self._path_bases_buf: list[int] = [0] * (config.levels + 1)
+        self._num_blocks = config.num_blocks
+        self._blocks_per_path = (
+            (config.levels + 1 - config.treetop_levels) * config.z
+        )
+        self._path_geometry = tuple(
+            (((1 << level) - 1) * config.z, config.levels - level)
+            for level in range(config.levels + 1)
+        )
         bootstrap_tree(
             self.tree, self.posmap, self.stash, config.num_blocks, config.z
         )
@@ -300,15 +309,15 @@ class TinyOramController:
     @property
     def num_blocks(self) -> int:
         """Number of program addresses this ORAM serves."""
-        return self.config.num_blocks
+        return self._num_blocks
 
     def access(
         self, addr: int, op: str = "read", payload: object = None, now: float = 0.0
     ) -> AccessResult:
         """Serve one LLC miss: the paper's Step-1 .. Step-6 sequence."""
-        if not 0 <= addr < self.config.num_blocks:
+        if not 0 <= addr < self._num_blocks:
             raise ValueError(
-                f"address {addr} outside ORAM space 0..{self.config.num_blocks - 1}"
+                f"address {addr} outside ORAM space 0..{self._num_blocks - 1}"
             )
         if op not in ("read", "write"):
             raise ValueError(f"op must be 'read' or 'write', got {op!r}")
@@ -601,10 +610,11 @@ class TinyOramController:
             # nests inside this phase.
             bus.emit(SpanStarted(name=span_name, ts=now, detail=purpose))
         timing = self._read_timing(now)
-        self.stats.path_reads += 1
-        self.stats.activations += timing.activations
-        self.stats.blocks_on_bus += timing.blocks_on_bus
-        self.stats.blocks_internal += self._dram_blocks_per_path()
+        stats = self.stats
+        stats.path_reads += 1
+        stats.activations += timing.activations
+        stats.blocks_on_bus += timing.blocks_on_bus
+        stats.blocks_internal += self._blocks_per_path
         if self.observer is not None:
             self.observer(("read", leaf, now))
         if observed:
@@ -614,89 +624,91 @@ class TinyOramController:
         data_ready: float | None = None
         served_from: str | None = None
         served_level = -1
-        treetop = self.config.treetop_levels
-        tree = self.tree
-        z = tree.z
-        slots = tree._slots
-        onchip = now + self.config.onchip_latency
+        z = self.config.z
+        slots = self.tree._slots
         stash = self.stash
-        stash_real = stash._real
-        stash_shadow = stash._shadow
-        stash_insert = self._stash_insert
-        bases = tree.path_bases(leaf, self._path_bases_buf)
-        # Merge fast path: an absorbed *shadow* whose address is already
-        # stashed (real or shadow) is discarded by the merge rules before
-        # any other effect — :meth:`Stash.insert` would bump ``merges`` and
-        # return.  Most shadows met on a path read hit this case, so the
-        # membership test here skips the whole insert call chain for them.
-        if absorb_all and intended_addr is None:
-            # RW eviction read: every block on the path moves to the stash
-            # (level ascending, slot ascending — the streaming order).
-            for level in range(self.config.levels + 1):
-                base = bases[level]
-                for i in range(base, base + z):
-                    blk = slots[i]
+        # Each bucket is read as one slice, in streaming order: level
+        # ascending, slot ascending.
+        if absorb_all:
+            # RW eviction read: every block on the path moves to the stash.
+            insert = stash.insert
+            empty = [None] * z
+            for level, (offset, shift) in enumerate(self._path_geometry):
+                base = offset + (leaf >> shift) * z
+                bucket = slots[base:base + z]
+                slots[base:base + z] = empty
+                for blk in bucket:
                     if blk is not None:
-                        slots[i] = None
-                        if blk.is_shadow:
-                            addr = blk.addr
-                            if addr in stash_real or addr in stash_shadow:
-                                stash.merges += 1
-                            else:
-                                stash_insert(blk, level)
-                        else:
-                            stash_insert(blk, level)
+                        insert(blk, level)
         else:
+            treetop = self.config.treetop_levels
+            onchip = now + self.config.onchip_latency
             offsets = timing.arrival_offsets
             tstart = timing.start
-            for level in range(self.config.levels + 1):
-                base = bases[level]
-                for i in range(base, base + z):
-                    blk = slots[i]
+            stash_real = stash._real
+            stash_shadow = stash._shadow
+            source_level = stash._shadow_source_level
+            arrival = stash._shadow_seq
+            seq_next = stash._shadow_seq_next
+            capacity = stash.capacity
+            occupancy = bool(stash.bus._subs)
+            merges = drops = 0
+            for level, (offset, shift) in enumerate(self._path_geometry):
+                base = offset + (leaf >> shift) * z
+                bucket = slots[base:base + z]
+                for blk in bucket:
                     if blk is None:
                         continue
                     addr = blk.addr
-                    # ``intended_addr`` is None for dummy/eviction reads and
-                    # block addresses are non-negative, so the comparison
-                    # alone decides (None never equals an int).
+                    # ``intended_addr`` is None for dummy reads and block
+                    # addresses are non-negative, so the comparison alone
+                    # decides (None never equals an int).
                     if addr == intended_addr:
+                        slot = 0
+                        while bucket[slot] is not blk:
+                            slot += 1
                         if data_ready is None:
                             served_level = level
                             if level < treetop:
                                 data_ready = onchip
                                 served_from = SERVED_TREETOP
                             else:
-                                data_ready = tstart + offsets[level][i - base]
+                                data_ready = tstart + offsets[level][slot]
                                 if blk.is_shadow:
                                     served_from = SERVED_SHADOW_PATH
                                 else:
                                     served_from = SERVED_PATH
-                        slots[i] = None
+                        slots[base + slot] = None
                         if not blk.is_shadow:
-                            stash_insert(blk, level)
+                            self._stash_insert(blk, level)
                         # Shadow copies of the requested block are
                         # discarded: the block is being remapped and they
                         # would go stale.
                     elif blk.is_shadow:
-                        if addr in stash_real or addr in stash_shadow:
-                            # Absorbed either way (eviction or HD-Dup
-                            # caching), and already stashed: merged away
-                            # immediately.
-                            if absorb_all:
-                                slots[i] = None
-                            stash.merges += 1
-                        elif absorb_all:
-                            slots[i] = None
-                            stash_insert(blk, level)
-                        else:
-                            # HD-Dup payoff: shadow blocks encountered on
-                            # any path read are cached in the stash
-                            # (replaceable).  The tree copy stays valid —
-                            # its original has not moved.
-                            stash_insert(blk, level)
-                    elif absorb_all:
-                        slots[i] = None
-                        stash_insert(blk, level)
+                        # HD-Dup payoff: a shadow met on any path read is
+                        # cached in the stash (replaceable) while its tree
+                        # copy stays valid, since its original has not
+                        # moved.  This is :meth:`Stash.insert`'s shadow
+                        # branch inlined, as it runs for most shadows on
+                        # every read; merges and drops are added once
+                        # after the walk.
+                        if addr in stash_shadow or addr in stash_real:
+                            merges += 1
+                            continue
+                        if len(stash_real) + len(stash_shadow) >= capacity:
+                            drops += 1
+                            if not stash_shadow:
+                                continue
+                            stash_shadow.popitem(last=False)
+                        stash_shadow[addr] = blk
+                        source_level[addr] = level
+                        arrival[addr] = seq_next
+                        seq_next += 1
+                        if occupancy:
+                            stash._emit_occupancy()
+            stash.merges += merges
+            stash.shadow_drops += drops
+            stash._shadow_seq_next = seq_next
         if observed:
             bus.emit(SpanFinished(name="stash_scan", ts=now))
             bus.emit(
@@ -721,13 +733,9 @@ class TinyOramController:
         return self.timer.read(now)
 
     def _stash_insert(self, blk: Block, level: int) -> None:
-        """Insert a block read from tree ``level`` into the stash.
-
-        The baseline never produces shadow blocks, but handling them here
-        keeps the merge rules in one place for the shadow subclass (which
-        also needs ``level`` for its Rule-2 bookkeeping).
-        """
-        self.stash.insert(blk)
+        """Insert the requested block, read from tree ``level``, into the
+        stash (:meth:`Stash.insert` applies the merge rules)."""
+        self.stash.insert(blk, level)
 
     # ------------------------------------------------------------------
     # Path write (Step-6 / Algorithm 1)
@@ -746,7 +754,7 @@ class TinyOramController:
         self.stats.path_writes += 1
         self.stats.activations += timing.activations
         self.stats.blocks_on_bus += timing.blocks_on_bus
-        self.stats.blocks_internal += self._dram_blocks_per_path()
+        self.stats.blocks_internal += self._blocks_per_path
         if self.observer is not None:
             self.observer(("write", leaf, now))
         if self.integrity is not None:
@@ -760,10 +768,6 @@ class TinyOramController:
         if observed:
             bus.emit(SpanFinished(name="eviction_write", ts=timing.finish))
         return timing
-
-    def _dram_blocks_per_path(self) -> int:
-        """Blocks touched inside DRAM per path access (treetop excluded)."""
-        return (self.config.levels + 1 - self.config.treetop_levels) * self.config.z
 
     def _build_path_contents(self, leaf: int) -> list[Block | None]:
         """Evict the stash onto path ``leaf`` and return the path buffer.

@@ -13,12 +13,10 @@ place buckets into rows (see :mod:`repro.mem.layout`).
 
 Storage layout: all buckets live in one flat slot array (``_slots``), with
 bucket ``i`` occupying ``_slots[i * z : (i + 1) * z]``.  The hot path-access
-loops in :mod:`repro.oram.tiny` index this array directly (one multiply per
-level instead of two method calls per slot); :meth:`bucket` hands out a
-:class:`_BucketView` so existing per-bucket callers (tests, recovery, fault
-injection) keep their mutable-sequence semantics.  ``epoch`` counts
-structural mutations (whole-store replacement on restore) and keys the
-derived-value caches in :mod:`repro.oram.derived`.
+loops in :mod:`repro.oram.tiny` slice this array directly, one bucket per
+level; :meth:`bucket` hands out a :class:`_BucketView` so existing
+per-bucket callers (tests, recovery, fault injection) keep their
+mutable-sequence semantics.
 """
 
 from __future__ import annotations
@@ -94,9 +92,6 @@ class OramTree:
         self.num_buckets = (1 << (levels + 1)) - 1
         # Flat index-addressed store: bucket i owns slots [i*z, (i+1)*z).
         self._slots: list[Block | None] = [None] * (self.num_buckets * z)
-        # Bumped whenever the store is structurally replaced (restore);
-        # derived-value caches key on (geometry, epoch).
-        self.epoch = 0
 
     # ------------------------------------------------------------------
     # Addressing
@@ -112,21 +107,6 @@ class OramTree:
     def path_indices(self, leaf: int) -> list[int]:
         """Bucket indices along path ``leaf`` ordered root -> leaf."""
         return [self.bucket_index(leaf, lvl) for lvl in range(self.levels + 1)]
-
-    def path_bases(self, leaf: int, out: list[int] | None = None) -> list[int]:
-        """Flat-store base offsets of path ``leaf``'s buckets, root -> leaf.
-
-        The bucket at ``level`` occupies ``_slots[out[level] : out[level] +
-        z]``.  ``out`` may be a preallocated ``levels + 1`` list, reused
-        across calls to keep the hot loops allocation-free.
-        """
-        levels = self.levels
-        z = self.z
-        if out is None:
-            out = [0] * (levels + 1)
-        for level in range(levels + 1):
-            out[level] = ((1 << level) - 1 + (leaf >> (levels - level))) * z
-        return out
 
     def bucket(self, index: int) -> _BucketView:
         """Mutable view of bucket ``index``'s slot sequence."""
@@ -270,4 +250,3 @@ class OramTree:
                 )
             slots.extend(block_from_jsonable(data) for data in bucket)
         self._slots = slots
-        self.epoch += 1

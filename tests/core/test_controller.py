@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.config import ShadowConfig
 from repro.core.controller import ShadowOramController
+from repro.oram.block import Block
 from repro.oram.config import OramConfig
 from repro.oram.tiny import SERVED_SHADOW_STASH
 from tests.conftest import check_path_invariant, check_shadow_versions
@@ -178,6 +179,26 @@ class TestStashSafety:
             tiny.access(rng_a.randrange(cfg.num_blocks))
             shadow.access(rng_b.randrange(cfg.num_blocks))
         assert shadow.stash.peak_real == tiny.stash.peak_real
+
+    def test_read_drops_shadows_when_every_stash_entry_is_real(self):
+        # Rule-3 on the read path: a shadow a path read caches only takes
+        # stash space that is left.  With every entry real it is dropped
+        # and counted, and its tree copy stays.
+        cfg = OramConfig(levels=4, stash_capacity=4)
+        ctl = ShadowOramController(cfg, Random(1), ShadowConfig.static(3))
+        stash = ctl.stash
+        for blk in stash.real_blocks():
+            stash.remove_real(blk.addr)
+        for addr in range(1000, 1004):
+            stash.insert(Block(addr, leaf=0))
+        tree = ctl.tree
+        for level, index in enumerate(tree.path_indices(0)):
+            tree.bucket(index)[-1] = Block(2000 + level, leaf=0, is_shadow=True)
+        ctl._path_read(0, 0.0, intended_addr=None)
+        assert stash.real_count == 4
+        assert stash.shadow_count == 0
+        assert stash.shadow_drops == cfg.levels + 1
+        assert tree.count_blocks()[1] == cfg.levels + 1
 
 
 class TestDynamicPartitionIntegration:

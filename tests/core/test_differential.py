@@ -60,7 +60,7 @@ class ReferenceShadowController(ShadowOramController):
             hd.push(cand)
         eligible = []
         for addr, sblk in self.stash._shadow.items():  # FIFO order
-            lvl = self._shadow_source_level.get(addr, 0)
+            lvl = self.stash._shadow_source_level.get(addr, 0)
             if lvl > 0:
                 eligible.append((hotness(addr), lvl, sblk))
         eligible.sort(key=itemgetter(0), reverse=True)  # stable: FIFO ties
@@ -98,7 +98,7 @@ class ReferenceShadowController(ShadowOramController):
             if cand.used:
                 addr = cand.block.addr
                 self.stash.remove_shadow(addr)
-                self._shadow_source_level.pop(addr, None)
+                self.stash._shadow_source_level.pop(addr, None)
                 sstats.stash_shadow_reevictions += 1
 
 
@@ -112,7 +112,7 @@ def _state_fingerprint(ctl):
         "stash": ctl.stash.snapshot_state(),
         "posmap": list(ctl.posmap._leaf),
         "hot_cache": ctl.hot_cache.snapshot_state(),
-        "source_level": dict(ctl._shadow_source_level),
+        "source_level": dict(ctl.stash._shadow_source_level),
     }
 
 

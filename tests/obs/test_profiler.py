@@ -81,6 +81,7 @@ class TestProfileRun:
             (ShadowOramController, "_maybe_evict"),
             (ShadowOramController, "dummy_access"),
             (ShadowOramController, "_stash_insert"),
+            (Stash, "insert"),
             (Stash, "lookup_real"),
             (Stash, "lookup_shadow"),
         ):

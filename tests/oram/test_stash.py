@@ -43,12 +43,6 @@ class TestBasics:
         stash.insert(real(2))  # must not overflow
         assert stash.real_count == 1
 
-    def test_discard_removes_all_copies(self):
-        stash = Stash(4)
-        stash.insert(shadow(5))
-        stash.discard(5)
-        assert stash.lookup(5) is None
-
 
 class TestOverflow:
     def test_real_overflow_raises(self):
@@ -130,3 +124,65 @@ class TestMergeRules:
         assert stash.real_count == 1
         assert stash.shadow_count == 1
         assert stash.real_count + stash.shadow_count <= 2
+
+    def test_shadow_is_dropped_when_every_entry_is_real(self):
+        # Rule-3: a shadow only uses space that is left.  With no older
+        # shadow to replace, the incoming one is dropped and counted.
+        stash = Stash(2)
+        stash.insert(real(1))
+        stash.insert(real(2))
+        stash.insert(shadow(3))
+        assert stash.lookup_shadow(3) is None
+        assert stash.real_count + stash.shadow_count == 2
+        assert stash.shadow_drops == 1
+        stash.insert(shadow(4))
+        assert stash.shadow_count == 0
+        assert stash.shadow_drops == 2
+
+
+class TestShadowMetadata:
+    def test_kept_shadow_records_level_and_arrival(self):
+        stash = Stash(4)
+        stash.insert(shadow(1), level=3)
+        stash.insert(shadow(2), level=5)
+        assert stash._shadow_source_level == {1: 3, 2: 5}
+        assert stash._shadow_seq[1] < stash._shadow_seq[2]
+
+    def test_dropped_shadow_records_nothing(self):
+        stash = Stash(1)
+        stash.insert(real(1))
+        stash.insert(shadow(2), level=4)
+        assert stash._shadow_source_level == {}
+        assert stash._shadow_seq == {}
+
+    def test_merged_shadow_keeps_first_level(self):
+        stash = Stash(4)
+        stash.insert(shadow(1), level=3)
+        stash.insert(shadow(1), level=1)
+        assert stash._shadow_source_level == {1: 3}
+
+    def test_real_arrival_forgets_level(self):
+        stash = Stash(4)
+        stash.insert(shadow(1), level=3)
+        stash.insert(real(1), level=2)
+        assert stash._shadow_source_level == {}
+
+    def test_fifo_drop_leaves_a_stale_level(self):
+        # Checkpoints carry these entries, so they must stay.
+        stash = Stash(1)
+        stash.insert(shadow(1), level=3)
+        stash.insert(shadow(2), level=4)
+        assert list(stash._shadow) == [2]
+        assert stash._shadow_source_level == {1: 3, 2: 4}
+
+    def test_restore_restamps_in_fifo_order(self):
+        stash = Stash(4)
+        for addr in (5, 2, 7):
+            stash.insert(shadow(addr), level=1)
+        stash.remove_shadow(5)
+        copy = Stash(4)
+        copy.restore_state(stash.snapshot_state())
+        assert list(copy._shadow) == [2, 7]
+        assert copy._shadow_seq == {2: 0, 7: 1}
+        assert copy._shadow_seq_next == 2
+        assert copy._shadow_source_level == {}
