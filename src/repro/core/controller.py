@@ -222,19 +222,12 @@ class ShadowOramController(TinyOramController):
 
         Candidates are the blocks just written back on this path plus the
         hottest few eligible stash shadows, those with a source level
-        above the root; selection and placement are
+        above the root (:meth:`Stash.evictable_shadows
+        <repro.oram.stash.Stash.evictable_shadows>` ranks them against the
+        Hot Address Cache's counters); selection and placement are
         :func:`repro.core.queues.place_shadows`, the routine Ring ORAM's
         path writes run too.  The differential suite checks it against
         the class-based queue oracle in ``tests/core/queue_oracle.py``.
-
-        The stash shadows are the ones a full FIFO scan plus a stable
-        descending hotness sort would rank first, found without touching
-        every stashed shadow: a shadow with a nonzero counter is in the
-        Hot Address Cache (at most 128 entries), so the hot ones are the
-        stashed part of its merged view, sorted once on (hotness
-        descending, stash arrival); the rest have hotness 0 and rank
-        after them in FIFO order, so a FIFO walk that skips hot-tracked
-        addresses tops the list up to the cap.
         """
         cfg = self.config
         bus = self.bus
@@ -243,7 +236,7 @@ class ShadowOramController(TinyOramController):
             bus.emit(SpanStarted(name="shadow_fill", ts=bus.now))
         # Hot-cache lookups are inlined (``hotness(addr)`` is one get on
         # the cache's merged view): this loop body runs for every
-        # written-back block and every stashed shadow on every path write.
+        # written-back block on every path write.
         hot_all = self.hot_cache._all
         hot_get = hot_all.get
         # Candidate arrays.  Indices < n_placed are blocks written back on
@@ -261,34 +254,12 @@ class ShadowOramController(TinyOramController):
         # hardware queues are small, so cap the stash-shadow candidates to
         # the hottest few.
         stash = self.stash
-        shadow_store = stash._shadow
-        source_level = stash._shadow_source_level
-        get_level = source_level.get
-        arrival = stash._shadow_seq
-        cap = self._STASH_SHADOW_CANDIDATES
-        hot: list[tuple[int, int, int, Block]] = []
-        for addr in hot_all.keys() & shadow_store.keys():
-            lvl = get_level(addr, 0)
-            if lvl > 0:
-                hot.append((-hot_all[addr], arrival[addr], lvl, shadow_store[addr]))
-        hot.sort()
-        for neg_hotness, _arrival, lvl, sblk in hot[:cap]:
+        for sblk, lvl, hotness in stash.evictable_shadows(
+            hot_all, self._STASH_SHADOW_CANDIDATES
+        ):
             bounds.append(lvl)
-            hots.append(-neg_hotness)
+            hots.append(hotness)
             blocks.append(sblk)
-        cold_needed = cap - len(hot)
-        if cold_needed > 0:
-            for addr, sblk in shadow_store.items():
-                if addr in hot_all:
-                    continue
-                lvl = get_level(addr, 0)
-                if lvl > 0:
-                    bounds.append(lvl)
-                    hots.append(0)
-                    blocks.append(sblk)
-                    cold_needed -= 1
-                    if cold_needed == 0:
-                        break
 
         on_place = None
         if observed:
@@ -318,9 +289,7 @@ class ShadowOramController(TinyOramController):
         # "evicted": drop the on-chip copy (its slot becomes free).
         for idx in range(n_placed, len(blocks)):
             if used[idx]:
-                addr = blocks[idx].addr
-                stash.remove_shadow(addr)
-                source_level.pop(addr, None)
+                stash.evict_shadow(blocks[idx].addr)
                 sstats.stash_shadow_reevictions += 1
         if observed:
             bus.emit(SpanFinished(
@@ -342,10 +311,7 @@ class ShadowOramController(TinyOramController):
         state["hot_cache"] = self.hot_cache.snapshot_state()
         state["partition"] = self.partition.snapshot_state()
         state["shadow_stats"] = dataclass_to_dict(self.shadow_stats)
-        state["shadow_source_level"] = [
-            [addr, level]
-            for addr, level in self.stash._shadow_source_level.items()
-        ]
+        state["shadow_source_level"] = self.stash.source_levels()
         return state
 
     def restore_state(self, state: dict[str, object]) -> None:
@@ -357,7 +323,4 @@ class ShadowOramController(TinyOramController):
         self.shadow_stats = dataclass_from_dict(
             ShadowStats, state["shadow_stats"]
         )
-        self.stash._shadow_source_level = {
-            int(addr): int(level)
-            for addr, level in state["shadow_source_level"]
-        }
+        self.stash.restore_source_levels(state["shadow_source_level"])

@@ -116,10 +116,8 @@ def profile_run(
             stash = getattr(controller, "stash", None)
             if stash is not None:
                 # The requested block goes through the controller's
-                # ``_stash_insert`` and eviction reads call
-                # ``stash.insert``; the shadows a request read caches are
-                # inserted inline in ``_path_read`` and count as
-                # ``oram access``.
+                # ``_stash_insert``; every other block a path read moves
+                # to the stash goes straight to ``stash.insert``.
                 prof.wrap(controller, "_stash_insert", "stash scan")
                 prof.wrap(stash, "insert", "stash scan")
                 prof.wrap(stash, "lookup_real", "stash scan")

@@ -45,12 +45,12 @@ class Stash:
     * ``_shadow_source_level[addr]``: the tree level the shadow was read
       from.  A re-evicted copy must go strictly root-ward of it.  Set when
       a shadow is kept; dropped when a real copy of ``addr`` arrives, and
-      by the shadow controller when it re-evicts the shadow.  A shadow
-      dropped FIFO or removed leaves a stale entry, which nothing reads
-      (lookups go through the shadow store first) but checkpoints carry.
-    * ``_shadow_seq[addr]``: a monotonic arrival stamp, so a caller that
-      collects shadows out of FIFO order can sort them back into it.
-      Only relative order is ever compared.
+      by :meth:`evict_shadow`.  A shadow dropped FIFO or removed leaves a
+      stale entry, which nothing reads (lookups go through the shadow
+      store first) but checkpoints carry.
+    * ``_shadow_seq[addr]``: a monotonic arrival stamp, so
+      :meth:`evictable_shadows` can sort the shadows it collects out of
+      FIFO order back into it.  Only relative order is ever compared.
 
     Args:
         capacity: Maximum number of *real* blocks (paper: ``M``, e.g. 200).
@@ -123,6 +123,47 @@ class Stash:
         over at O(stash) cost per scan.
         """
         return self._real.values()
+
+    def evictable_shadows(
+        self, hotness: dict[int, int], cap: int
+    ) -> list[tuple[Block, int, int]]:
+        """Up to ``cap`` stashed shadows to offer a path write, best first.
+
+        Only shadows read from below the root qualify (Rule-2 puts a
+        re-evicted copy strictly root-ward of its source level).  They
+        rank by hotness descending, ties in FIFO order: the order a full
+        FIFO scan plus a stable descending sort gives.  ``hotness`` maps
+        the tracked addresses to positive counters (the Hot Address
+        Cache's merged view); any other address has hotness 0.  So the
+        tracked shadows, found by one key intersection and sorted once on
+        (hotness descending, arrival stamp), rank first, and a FIFO walk
+        that skips tracked addresses tops the list up to ``cap`` without
+        touching every stashed shadow.
+
+        Returns ``(block, source_level, hotness)`` triples.
+        """
+        shadow = self._shadow
+        get_level = self._shadow_source_level.get
+        arrival = self._shadow_seq
+        hot: list[tuple[int, int, int, Block]] = []
+        for addr in hotness.keys() & shadow.keys():
+            lvl = get_level(addr, 0)
+            if lvl > 0:
+                hot.append((-hotness[addr], arrival[addr], lvl, shadow[addr]))
+        hot.sort()
+        out = [(sblk, lvl, -neg) for neg, _arrival, lvl, sblk in hot[:cap]]
+        cold_needed = cap - len(out)
+        if cold_needed > 0:
+            for addr, sblk in shadow.items():
+                if addr in hotness:
+                    continue
+                lvl = get_level(addr, 0)
+                if lvl > 0:
+                    out.append((sblk, lvl, 0))
+                    cold_needed -= 1
+                    if cold_needed == 0:
+                        break
+        return out
 
     # ------------------------------------------------------------------
     # Mutation
@@ -203,6 +244,16 @@ class Stash:
             self._emit_occupancy()
         return blk
 
+    def evict_shadow(self, addr: int) -> None:
+        """Drop the stashed shadow for ``addr`` once a path write has
+        copied it back into the tree, and forget its source level.
+
+        :meth:`remove_shadow` keeps the level entry; recovery relies on
+        that to leave the checkpointed bookkeeping as it was.
+        """
+        self.remove_shadow(addr)
+        self._shadow_source_level.pop(addr, None)
+
     def repair_shadow(self, addr: int, blk: Block) -> None:
         """Replace the stashed shadow for ``addr`` with a healed copy.
 
@@ -223,8 +274,9 @@ class Stash:
         """Checkpointable rendering; preserves FIFO insertion order.
 
         Source levels are not part of it: the shadow controller
-        checkpoints them next to the stash (``shadow_source_level``), so a
-        baseline or Ring ORAM stash renders as it always has.
+        checkpoints :meth:`source_levels` next to the stash
+        (``shadow_source_level``), so a baseline or Ring ORAM stash
+        renders as it always has.
         """
         from repro.oram.block import block_to_jsonable
 
@@ -236,8 +288,22 @@ class Stash:
             "merges": self.merges,
         }
 
+    def source_levels(self) -> list[list[int]]:
+        """``[addr, level]`` source-level pairs in insertion order, stale
+        entries included (the shadow controller's checkpoint field)."""
+        return [
+            [addr, level] for addr, level in self._shadow_source_level.items()
+        ]
+
+    def restore_source_levels(self, pairs: list[list[int]]) -> None:
+        """Inverse of :meth:`source_levels`."""
+        self._shadow_source_level = {
+            int(addr): int(level) for addr, level in pairs
+        }
+
     def restore_state(self, state: dict[str, object]) -> None:
-        """Inverse of :meth:`snapshot_state`; source levels start empty.
+        """Inverse of :meth:`snapshot_state`; source levels start empty
+        (:meth:`restore_source_levels` brings them back).
 
         Restored shadows are re-stamped in their FIFO order.  The stamps
         differ from an uninterrupted run's, but only their relative order

@@ -188,20 +188,19 @@ def bootstrap_tree(
     """
     slots = tree._slots
     stride = tree.z
-    levels = tree.levels
+    leaf_first = tree.path_geometry[::-1]
     fill = [0] * tree.num_buckets
     leaf_of = posmap._leaf
     for addr in range(num_blocks):
         leaf = leaf_of[addr]
         blk = Block(addr, leaf, 0)
-        level = levels
-        while level >= 0:
-            idx = (1 << level) - 1 + (leaf >> (levels - level))
+        for offset, shift in leaf_first:
+            base = offset + (leaf >> shift) * stride
+            idx = base // stride
             if fill[idx] < capacity:
-                slots[idx * stride + fill[idx]] = blk
+                slots[base + fill[idx]] = blk
                 fill[idx] += 1
                 break
-            level -= 1
         else:
             stash.insert(blk)
 
@@ -269,18 +268,11 @@ class TinyOramController:
         self._eviction_counter = 0
         # Geometry the hot path reads instead of recomputing it per
         # access: the eviction-order bit-reversal table, the address-space
-        # size, the DRAM-resident blocks of one path (treetop excluded),
-        # and one ``(offset, shift)`` pair per level, root first: the
-        # bucket at ``level`` on path ``leaf`` starts at flat slot
-        # ``offset + (leaf >> shift) * z``.
+        # size and the DRAM-resident blocks of one path (treetop excluded).
         self._rev_table = bit_reverse_table(config.levels)
         self._num_blocks = config.num_blocks
         self._blocks_per_path = (
             (config.levels + 1 - config.treetop_levels) * config.z
-        )
-        self._path_geometry = tuple(
-            (((1 << level) - 1) * config.z, config.levels - level)
-            for level in range(config.levels + 1)
         )
         bootstrap_tree(
             self.tree, self.posmap, self.stash, config.num_blocks, config.z
@@ -624,16 +616,17 @@ class TinyOramController:
         data_ready: float | None = None
         served_from: str | None = None
         served_level = -1
-        z = self.config.z
-        slots = self.tree._slots
-        stash = self.stash
+        tree = self.tree
+        z = tree.z
+        slots = tree._slots
+        geometry = tree.path_geometry
+        insert = self.stash.insert
         # Each bucket is read as one slice, in streaming order: level
         # ascending, slot ascending.
         if absorb_all:
             # RW eviction read: every block on the path moves to the stash.
-            insert = stash.insert
             empty = [None] * z
-            for level, (offset, shift) in enumerate(self._path_geometry):
+            for level, (offset, shift) in enumerate(geometry):
                 base = offset + (leaf >> shift) * z
                 bucket = slots[base:base + z]
                 slots[base:base + z] = empty
@@ -645,25 +638,16 @@ class TinyOramController:
             onchip = now + self.config.onchip_latency
             offsets = timing.arrival_offsets
             tstart = timing.start
-            stash_real = stash._real
-            stash_shadow = stash._shadow
-            source_level = stash._shadow_source_level
-            arrival = stash._shadow_seq
-            seq_next = stash._shadow_seq_next
-            capacity = stash.capacity
-            occupancy = bool(stash.bus._subs)
-            merges = drops = 0
-            for level, (offset, shift) in enumerate(self._path_geometry):
+            for level, (offset, shift) in enumerate(geometry):
                 base = offset + (leaf >> shift) * z
                 bucket = slots[base:base + z]
                 for blk in bucket:
                     if blk is None:
                         continue
-                    addr = blk.addr
                     # ``intended_addr`` is None for dummy reads and block
                     # addresses are non-negative, so the comparison alone
                     # decides (None never equals an int).
-                    if addr == intended_addr:
+                    if blk.addr == intended_addr:
                         slot = 0
                         while bucket[slot] is not blk:
                             slot += 1
@@ -688,27 +672,8 @@ class TinyOramController:
                         # HD-Dup payoff: a shadow met on any path read is
                         # cached in the stash (replaceable) while its tree
                         # copy stays valid, since its original has not
-                        # moved.  This is :meth:`Stash.insert`'s shadow
-                        # branch inlined, as it runs for most shadows on
-                        # every read; merges and drops are added once
-                        # after the walk.
-                        if addr in stash_shadow or addr in stash_real:
-                            merges += 1
-                            continue
-                        if len(stash_real) + len(stash_shadow) >= capacity:
-                            drops += 1
-                            if not stash_shadow:
-                                continue
-                            stash_shadow.popitem(last=False)
-                        stash_shadow[addr] = blk
-                        source_level[addr] = level
-                        arrival[addr] = seq_next
-                        seq_next += 1
-                        if occupancy:
-                            stash._emit_occupancy()
-            stash.merges += merges
-            stash.shadow_drops += drops
-            stash._shadow_seq_next = seq_next
+                        # moved.
+                        insert(blk, level)
         if observed:
             bus.emit(SpanFinished(name="stash_scan", ts=now))
             bus.emit(

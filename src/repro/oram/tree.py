@@ -92,6 +92,14 @@ class OramTree:
         self.num_buckets = (1 << (levels + 1)) - 1
         # Flat index-addressed store: bucket i owns slots [i*z, (i+1)*z).
         self._slots: list[Block | None] = [None] * (self.num_buckets * z)
+        # One ``(offset, shift)`` pair per level, root first: the bucket at
+        # ``level`` on path ``leaf`` starts at flat slot
+        # ``offset + (leaf >> shift) * z``.  The hot path loops slice
+        # ``_slots`` with it instead of calling :meth:`bucket_index`.
+        self.path_geometry: tuple[tuple[int, int], ...] = tuple(
+            (((1 << level) - 1) * z, levels - level)
+            for level in range(levels + 1)
+        )
 
     # ------------------------------------------------------------------
     # Addressing
@@ -141,10 +149,9 @@ class OramTree:
             raise ValueError(f"leaf {leaf} out of range 0..{self.num_leaves - 1}")
         slots = self._slots
         z = self.z
-        levels = self.levels
         out: list[tuple[int, int, Block | None]] = []
-        for level in range(levels + 1):
-            base = ((1 << level) - 1 + (leaf >> (levels - level))) * z
+        for level, (offset, shift) in enumerate(self.path_geometry):
+            base = offset + (leaf >> shift) * z
             for slot in range(z):
                 out.append((level, slot, slots[base + slot]))
                 slots[base + slot] = None
@@ -162,10 +169,9 @@ class OramTree:
             raise ValueError(f"leaf {leaf} out of range 0..{self.num_leaves - 1}")
         slots = self._slots
         z = self.z
-        levels = self.levels
         get = contents.get
-        for level in range(levels + 1):
-            base = ((1 << level) - 1 + (leaf >> (levels - level))) * z
+        for level, (offset, shift) in enumerate(self.path_geometry):
+            base = offset + (leaf >> shift) * z
             for slot in range(z):
                 slots[base + slot] = get((level, slot))
 
@@ -179,11 +185,11 @@ class OramTree:
         """
         slots = self._slots
         z = self.z
-        levels = self.levels
-        for level in range(levels + 1):
-            base = ((1 << level) - 1 + (leaf >> (levels - level))) * z
-            off = level * z
+        off = 0
+        for offset, shift in self.path_geometry:
+            base = offset + (leaf >> shift) * z
             slots[base:base + z] = buf[off:off + z]
+            off += z
 
     # ------------------------------------------------------------------
     # Introspection helpers (testing / statistics)

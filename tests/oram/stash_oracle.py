@@ -4,16 +4,20 @@ This is the stash as it stood before the shadow FIFO became an
 ``OrderedDict``: both stores are plain dicts, the oldest shadow is
 dropped with ``del d[next(iter(d))]``, and the Rule-2 bookkeeping the
 shadow controller used to keep beside it (each stashed shadow's source
-level and arrival stamp) is folded in as it ran there.  It carries one
-fix the engine has too: a shadow arriving at a stash full of real blocks
-is dropped (and counted) instead of squatting past capacity.
+level and arrival stamp, its removal on re-eviction, and the full FIFO
+scan plus stable hotness sort that ranked the re-eviction candidates) is
+folded in as it ran there.  It carries one fix the engine has too: a
+shadow arriving at a stash full of real blocks is dropped (and counted)
+instead of squatting past capacity.
 
 ``tests/oram/test_stash_oracle.py`` drives both through random inserts,
-removals, repairs and checkpoint round trips and compares them after
-every step.
+removals, re-evictions, candidate queries, repairs and checkpoint round
+trips and compares them after every step.
 """
 
 from __future__ import annotations
+
+from operator import itemgetter
 
 from repro.oram.block import Block, block_from_jsonable, block_to_jsonable
 from repro.oram.stash import StashOverflowError
@@ -75,9 +79,30 @@ class OracleStash:
     def remove_shadow(self, addr: int) -> Block | None:
         return self._shadow.pop(addr, None)
 
+    def evictable_shadows(
+        self, hotness: dict[int, int], cap: int
+    ) -> list[tuple[Block, int, int]]:
+        eligible = []
+        for addr, sblk in self._shadow.items():  # FIFO order
+            lvl = self._shadow_source_level.get(addr, 0)
+            if lvl > 0:
+                eligible.append((sblk, lvl, hotness.get(addr, 0)))
+        eligible.sort(key=itemgetter(2), reverse=True)  # stable: FIFO ties
+        return eligible[:cap]
+
+    def evict_shadow(self, addr: int) -> None:
+        self._shadow.pop(addr, None)
+        self._shadow_source_level.pop(addr, None)
+
     def repair_shadow(self, addr: int, blk: Block) -> None:
         if addr in self._shadow:
             self._shadow[addr] = blk
+
+    def source_levels(self) -> list[list[int]]:
+        return [[addr, lvl] for addr, lvl in self._shadow_source_level.items()]
+
+    def restore_source_levels(self, pairs: list[list[int]]) -> None:
+        self._shadow_source_level = {int(addr): int(lvl) for addr, lvl in pairs}
 
     def snapshot_state(self) -> dict[str, object]:
         return {

@@ -8,9 +8,9 @@ hypothesis-driven tests pin the equivalence:
 
 * eviction-leaf order: :func:`repro.oram.derived.bit_reverse_table` vs
   the loop-based ``TinyOramController._bit_reverse``;
-* path addressing: arithmetic ``path_indices`` and the controller's
-  per-level ``(offset, shift)`` path geometry vs a parent-pointer walk
-  from the leaf bucket;
+* path addressing: arithmetic ``path_indices`` and the tree's per-level
+  ``(offset, shift)`` path geometry vs a parent-pointer walk from the
+  leaf bucket;
 * path scan: ``OramTree.read_path`` vs a per-bucket view scan;
 * Merkle digests: the framed one-hash-per-bucket engine vs the per-slot
   hasher in ``tests/oram/merkle_oracle.py`` (every node digest after
@@ -101,13 +101,12 @@ def _path_indices_reference(tree: OramTree, leaf: int) -> list[int]:
 )
 @settings(max_examples=80, deadline=None)
 def test_path_indices_match_parent_walk_reference(levels, z, leaf):
-    ctl = TinyOramController(OramConfig(levels=levels, z=z), Random(leaf))
-    tree = ctl.tree
+    tree = OramTree(levels, z)
     leaf %= tree.num_leaves
     reference = _path_indices_reference(tree, leaf)
     assert tree.path_indices(leaf) == reference
-    # The bucket starts the path read slices, root first.
-    bases = [offset + (leaf >> shift) * z for offset, shift in ctl._path_geometry]
+    # The bucket starts the path loops slice, root first.
+    bases = [offset + (leaf >> shift) * z for offset, shift in tree.path_geometry]
     assert bases == [i * z for i in reference]
 
 
