@@ -4,8 +4,10 @@ Acceptance criterion for the obs layer: with no subscribers attached, an
 instrumented ``simulate()`` must be within a few percent of the
 uninstrumented path.  Both cases execute the same code (a controller
 always owns a bus), so the comparison here pins down the cost of the
-``if not bus._subs`` guards relative to run-to-run timer noise, and the
-subscribed case quantifies what full event capture costs.
+emission guards relative to run-to-run timer noise.  Two subscribed
+cases put a number on tracing: a span-only run (a ``SpanTracer`` alone,
+so only the span family is built) and a metrics-subscribed run (every
+event family).
 
 Run directly for the numbers::
 
@@ -20,6 +22,7 @@ from _support import N_REQUESTS, SEED, make_config
 
 from repro.obs.events import EventBus
 from repro.obs.metrics import MetricsCollector
+from repro.obs.spans import SpanTracer
 from repro.system.simulator import build_miss_trace, simulate
 
 WORKLOAD = "mcf"
@@ -52,13 +55,20 @@ def test_no_subscriber_overhead_within_three_percent():
         MetricsCollector(bus)
         return bus
 
+    def span_bus() -> EventBus:
+        bus = EventBus()
+        SpanTracer(bus)
+        return bus
+
     subscribed = _best_of(3, subscribed_bus)
+    spans = _best_of(3, span_bus)
     ratio = unsubscribed / baseline
     print(
         f"\nobs overhead on {WORKLOAD} ({N_REQUESTS} requests): "
         f"baseline {baseline:.3f}s, unsubscribed bus {unsubscribed:.3f}s "
-        f"({(ratio - 1) * 100:+.1f}%), metrics-subscribed {subscribed:.3f}s "
-        f"({(subscribed / baseline - 1) * 100:+.1f}%)"
+        f"({(ratio - 1) * 100:+.1f}%), span-only {spans:.3f}s "
+        f"({spans / baseline:.2f}x), metrics-subscribed {subscribed:.3f}s "
+        f"({subscribed / baseline:.2f}x)"
     )
     # 3% target plus an absolute floor so sub-second runs aren't judged
     # on scheduler jitter alone.

@@ -1016,7 +1016,7 @@ class SweepRunner:
     ) -> None:
         self._count("sweep/retries")
         bus = self.bus
-        if bus is not None and bus._subs:
+        if bus is not None and bus._detail:
             bus.emit(
                 SweepPointRetried(
                     workload=point.workload,
@@ -1030,7 +1030,7 @@ class SweepRunner:
 
     def _emit_started(self, point: SweepPoint, index: int, total: int) -> None:
         bus = self.bus
-        if bus is not None and bus._subs:
+        if bus is not None and bus._detail:
             bus.emit(
                 SweepPointStarted(
                     workload=point.workload,
@@ -1066,7 +1066,7 @@ class SweepRunner:
                 if self.cache is not None:
                     self.registry.counter("sweep/cache_misses").inc()
         bus = self.bus
-        if bus is not None and bus._subs:
+        if bus is not None and bus._detail:
             if failed:
                 bus.emit(
                     SweepPointFailed(

@@ -71,7 +71,6 @@ from repro.obs import (
     load_traces,
     parse_sample_spec,
     parse_slo_spec,
-    profile_run,
     render_prometheus,
     run_metadata,
 )
@@ -214,7 +213,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_profile(args: argparse.Namespace) -> int:
     config = build_config(args)
     print(f"config: {config.describe()}")
-    totals, result = profile_run(
+    totals, result = spans_report.host_profile(
         config, args.workload, num_requests=args.requests, seed=args.seed
     )
     total = sum(totals.values()) or 1e-12
@@ -577,20 +576,28 @@ def cmd_faults(args: argparse.Namespace) -> int:
 def cmd_trace_analyze(args: argparse.Namespace) -> int:
     # Flight-recorder post-mortems carry raw bus events, not span trees;
     # rebuild whatever complete request spans the crash window holds.
-    if is_postmortem(args.file):
+    # Their wall stamps date from the replay, so host seconds are left out.
+    postmortem = is_postmortem(args.file)
+    if postmortem:
         traces = load_postmortem_traces(args.file)
+        # On stderr under --json, so stdout stays one JSON document.
         print(f"post-mortem dump: rebuilt {len(traces)} complete span "
-              f"trace(s) from the flight-recorder ring")
+              f"trace(s) from the flight-recorder ring",
+              file=sys.stderr if args.json else sys.stdout)
     else:
         traces = load_traces(args.file)
     if args.json:
         import json
 
-        payload = spans_report.analyze(traces, top=args.top)
+        payload = spans_report.analyze(
+            traces, top=args.top, host=not postmortem
+        )
         print(json.dumps(payload, indent=2))
         violations = payload["invariant"]["violations"]
         return 0 if violations == 0 else EXIT_TRACE_INVALID
-    text, ok = spans_report.render_report(traces, top=args.top)
+    text, ok = spans_report.render_report(
+        traces, top=args.top, host=not postmortem
+    )
     print(text)
     return 0 if ok else EXIT_TRACE_INVALID
 
@@ -974,7 +981,9 @@ def make_parser() -> argparse.ArgumentParser:
     run_p.set_defaults(fn=cmd_run)
 
     prof_p = sub.add_parser(
-        "profile", help="report per-stage simulator wall-clock time"
+        "profile",
+        help="report the simulator's host seconds per span phase, plus "
+             "trace build and frontend",
     )
     common(prof_p)
     prof_p.add_argument("--scheme", default="dynamic-3")

@@ -143,7 +143,7 @@ class ShadowOramController(TinyOramController):
         self.stats.shadow_stash_hits += 1
         self.stats.onchip_serves += 1
         ready = now + self.config.onchip_latency
-        if self.bus._subs:
+        if self.bus._detail:
             self.bus.emit(
                 BlockServed(
                     addr=addr,
@@ -262,7 +262,7 @@ class ShadowOramController(TinyOramController):
             blocks.append(sblk)
 
         on_place = None
-        if observed:
+        if bus._detail:
             def on_place(copy: Block, level: int, use_hd: bool, idx: int) -> None:
                 bus.emit(
                     DuplicationPlaced(

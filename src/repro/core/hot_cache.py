@@ -59,7 +59,7 @@ class HotAddressCache:
             line[addr] = count
             self._all[addr] = count
             self.hits += 1
-            if self.bus._subs:
+            if self.bus._detail:
                 self._emit_touch(addr, count, hit=True)
             return count
         self.misses += 1
@@ -70,7 +70,7 @@ class HotAddressCache:
             self.evictions += 1
         line[addr] = 1
         self._all[addr] = 1
-        if self.bus._subs:
+        if self.bus._detail:
             self._emit_touch(addr, 1, hit=False)
         return 1
 

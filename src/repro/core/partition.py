@@ -137,7 +137,7 @@ class DynamicPartitionPolicy(PartitionPolicy):
             old_level = self._level
             self._level = new_level
             self.adjustments += 1
-            if self.bus._subs:
+            if self.bus._detail:
                 bus = self.bus
                 bus.emit(
                     PartitionAdjusted(

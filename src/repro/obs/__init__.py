@@ -8,10 +8,11 @@ reports about itself.  The components:
 * :mod:`repro.obs.metrics` — counters/gauges/histograms and the
   :class:`~repro.obs.metrics.MetricsCollector` bus subscriber;
 * :mod:`repro.obs.spans` — causal per-request span trees with
-  cycle-exact latency attribution (:class:`~repro.obs.spans.SpanTracer`);
+  cycle-exact latency attribution and a host wall clock on every span
+  (:class:`~repro.obs.spans.SpanTracer`); the one host-time instrument,
+  which ``repro trace analyze`` and ``repro profile`` report from;
 * :mod:`repro.obs.timeline` — Chrome trace-event (Perfetto) export;
 * :mod:`repro.obs.log` — JSONL structured logging with run metadata;
-* :mod:`repro.obs.profiler` — host wall-clock attribution per stage;
 * :mod:`repro.obs.aggregate` — cross-process telemetry snapshots and the
   per-worker/rollup merge used by parallel sweeps;
 * :mod:`repro.obs.progress` — live sweep progress (TTY status line and
@@ -24,8 +25,9 @@ reports about itself.  The components:
   post-mortem dumps ``repro trace analyze`` replays.
 
 Observability is strictly opt-in: with no subscribers attached the
-instrumented hot paths reduce to one ``if not bus._subs`` check and no
-event objects are ever created.
+instrumented hot paths reduce to one attribute test per emission site
+and no event objects are ever created.  A subscriber that takes only the
+span family leaves every other event family off (``EventBus._detail``).
 """
 
 from repro.obs.aggregate import (
@@ -79,7 +81,6 @@ from repro.obs.log import (
     run_metadata,
 )
 from repro.obs.metrics import MetricsCollector, MetricsRegistry
-from repro.obs.profiler import Profiler, profile_run
 from repro.obs.progress import (
     ProgressJsonlWriter,
     ProgressReporter,
@@ -118,7 +119,6 @@ __all__ = [
     "PartitionAdjusted",
     "PathReadFinished",
     "PathReadStarted",
-    "Profiler",
     "ProgressJsonlWriter",
     "ProgressReporter",
     "RequestCompleted",
@@ -152,7 +152,6 @@ __all__ = [
     "merge_snapshot",
     "parse_sample_spec",
     "parse_slo_spec",
-    "profile_run",
     "render_json_lines",
     "render_prometheus",
     "render_tree",

@@ -4,16 +4,24 @@ Every stage of the simulator (`TinyOramController`, `ShadowOramController`,
 `RequestScheduler`, `Stash`, `HotAddressCache`, the partition policies)
 emits small, slotted, frozen event dataclasses onto a shared
 :class:`EventBus`.  Subscribers — the metrics collector, the Perfetto
-timeline builder, the JSONL logger, the request tracer — are strictly
-opt-in; with no subscribers attached the bus costs one ``if not
-self._subs`` truthiness check per would-be emission site, and no event
-object is ever constructed.
+timeline builder, the JSONL logger, the span tracer — are strictly
+opt-in; with no subscribers attached the bus costs one attribute test
+per would-be emission site, and no event object is ever constructed.
 
-The emission idiom used throughout the codebase is therefore::
+Events come in two families with one guard each.  The span family
+(:data:`SPAN_EVENT_TYPES`: ``SpanStarted``, ``SpanFinished`` and
+``RequestCompleted``) is emitted whenever anyone subscribes; every other
+event only when some subscriber declared it wants more than the span
+family (``bus._detail``, derived from the subscriptions)::
 
     bus = self.bus
     if bus._subs:
-        bus.emit(PathReadStarted(leaf=leaf, purpose="request", ts=now))
+        bus.emit(SpanStarted(name="path_read", ts=now, detail=purpose))
+    if bus._detail:
+        bus.emit(PathReadStarted(leaf=leaf, purpose=purpose, ts=now))
+
+A span-only run (``repro run --spans``, ``repro profile``) therefore
+builds no stash, duplication or path events it would throw away.
 
 Components without their own clock (the stash, the hot address cache, the
 partition policy) stamp events with ``bus.now``, which the controller
@@ -424,6 +432,10 @@ EVENT_TYPES: tuple[type, ...] = (
 
 EVENT_BY_NAME: dict[str, type] = {cls.__name__: cls for cls in EVENT_TYPES}
 
+#: The span family: what a span tracer reads.  Emission sites of every
+#: other event test :attr:`EventBus._detail` instead of ``_subs``.
+SPAN_EVENT_TYPES = frozenset({SpanStarted, SpanFinished, RequestCompleted})
+
 
 def event_to_dict(event: object) -> dict[str, object]:
     """Flatten an event dataclass into ``{"type": ..., field: value}``."""
@@ -459,19 +471,26 @@ Handler = Callable[[object], None]
 class EventBus:
     """Minimal synchronous pub/sub bus.
 
-    Emission sites check ``bus._subs`` (a plain list) before constructing
-    an event, so an unsubscribed bus adds a single attribute load and
-    truthiness test to the hot path.  ``now`` and ``core`` are mutable
-    ambient context: the simulator/controller set them while subscribers
-    are attached so clock-less components can stamp their events.
+    Emission sites check ``bus._subs`` (a plain list) or ``bus._detail``
+    (a bool) before constructing an event, so an unsubscribed bus adds a
+    single attribute load and truthiness test to the hot path.
+    ``_detail`` is derived from the subscriptions alone: it is true when
+    an untyped subscriber is attached, or a typed one that accepts an
+    event outside :data:`SPAN_EVENT_TYPES`.  ``now`` and ``core`` are
+    mutable ambient context: the simulator/controller set them while
+    subscribers are attached so clock-less components can stamp their
+    events.
     """
 
-    __slots__ = ("_subs", "_typed", "now", "core")
+    __slots__ = ("_subs", "_accepts", "_typed", "_detail", "now", "core")
 
     def __init__(self) -> None:
         self._subs: list[Handler] = []
-        # handler -> (wrapped handler, accepted types) for unsubscribe.
+        # Accepted event types per entry of ``_subs`` (None: every type).
+        self._accepts: list[frozenset[type] | None] = []
+        # handler -> wrapped handler, for unsubscribe.
         self._typed: dict[Handler, Handler] = {}
+        self._detail = False
         self.now: float = 0.0
         self.core: int = -1
 
@@ -490,18 +509,30 @@ class EventBus:
                     _h(event)
 
             self._typed[handler] = filtered
-            self._subs.append(filtered)
-            return filtered
-        self._subs.append(handler)
-        return handler
+            registered, accepts = filtered, frozenset(accepted)
+        else:
+            registered, accepts = handler, None
+        self._subs.append(registered)
+        self._accepts.append(accepts)
+        self._derive()
+        return registered
 
     def unsubscribe(self, handler: Handler) -> None:
         """Detach a handler registered with :meth:`subscribe`."""
         registered = self._typed.pop(handler, handler)
         try:
-            self._subs.remove(registered)
+            index = self._subs.index(registered)
         except ValueError:
-            pass
+            return
+        del self._subs[index]
+        del self._accepts[index]
+        self._derive()
+
+    def _derive(self) -> None:
+        self._detail = any(
+            accepts is None or not accepts <= SPAN_EVENT_TYPES
+            for accepts in self._accepts
+        )
 
     @property
     def active(self) -> bool:

@@ -28,7 +28,7 @@ from __future__ import annotations
 import asyncio
 import json
 import re
-from typing import IO, Callable
+from typing import Callable
 
 from repro.obs.metrics import MetricsRegistry
 
@@ -134,12 +134,6 @@ def render_json_lines(registry: MetricsRegistry, **meta: object) -> str:
         json.dumps(record, sort_keys=True) for record in records
     )
     return "\n".join(lines) + "\n"
-
-
-def write_prometheus(
-    registry: MetricsRegistry, stream: IO[str], namespace: str = "repro"
-) -> None:
-    stream.write(render_prometheus(registry, namespace))
 
 
 class MetricsEndpoint:

@@ -17,7 +17,7 @@ subscribers:
   by newlines, repainted at most every ``plain_interval_s`` seconds —
   after a one-time warning on stderr.  Runs without ``--live`` still
   pay zero overhead: no subscriber, no event construction (the bus
-  short-circuits on ``_subs``).
+  short-circuits on ``_detail``).
 * :class:`ProgressJsonlWriter` — one JSON object per resolved point
   (``--progress-jsonl``), with monotonically non-decreasing ``done``
   counts, for CI dashboards and scripts.

@@ -12,7 +12,7 @@ window rolls.  The evaluation drives a three-state machine::
 
 Every transition is emitted as a
 :class:`~repro.obs.events.SloStateChanged` bus event (behind the usual
-``bus._subs`` zero-overhead guard) and the full monitor state is
+``bus._detail`` zero-overhead guard) and the full monitor state is
 embedded in the server's ``stats``/``health`` replies.  The monitor is
 clock-injectable and rolled explicitly by its owner, so tests drive the
 state machine deterministically without sleeping.
@@ -252,7 +252,7 @@ class SloMonitor:
         if self.state == STATE_BREACHED:
             self.breaches += 1
         bus = self.bus
-        if bus is not None and bus._subs:
+        if bus is not None and bus._detail:
             bus.emit(
                 SloStateChanged(
                     previous=previous,

@@ -13,9 +13,11 @@ verify/heal, shadow-dup service, eviction read/write/shadow-fill.
 Emission protocol
 -----------------
 Instrumentation sites emit :class:`~repro.obs.events.SpanStarted` /
-:class:`~repro.obs.events.SpanFinished` pairs behind the usual
+:class:`~repro.obs.events.SpanFinished` pairs behind the
 ``if bus._subs:`` guard, so an untraced run constructs no event objects
-and stays bit-identical to one that never imported this module.  Because
+and stays bit-identical to one that never imported this module.  The
+tracer subscribes to the span family only, so a span-only bus keeps
+``bus._detail`` off and builds no other event.  Because
 the simulator is single-threaded, emission order equals host execution
 order equals nesting order, so the tracer needs only a stack:
 
@@ -351,7 +353,7 @@ class SpanTracer:
             if not trace.stack:
                 self._open.pop()
                 if trace.sampled:
-                    self.traces.append(trace.record)
+                    self._keep(trace.record)
                 else:
                     self.dropped += 1
         elif type(event) is RequestCompleted:
@@ -372,6 +374,10 @@ class SpanTracer:
             if event.core != -1:
                 record.core = event.core
             record.annotated = True
+
+    def _keep(self, record: SpanTrace) -> None:
+        """Take one finished, sampled trace (subclasses may fold it)."""
+        self.traces.append(record)
 
     # ------------------------------------------------------------------
     def feed_metrics(self, registry) -> None:

@@ -247,7 +247,7 @@ class RecoveryManager:
             posmap.repair(blk.addr, blk.leaf)
             self.stats.posmap_repairs += 1
             repaired += 1
-            if bus._subs:
+            if bus._detail:
                 bus.emit(
                     PosmapRepaired(
                         addr=blk.addr,
@@ -268,7 +268,7 @@ class RecoveryManager:
         for cs in corrupt:
             self.stats.corruptions += 1
             addr = -1 if cs.expected is None else cs.expected.addr
-            if bus._subs:
+            if bus._detail:
                 bus.emit(
                     CorruptionDetected(
                         bucket=cs.bucket,
@@ -291,7 +291,7 @@ class RecoveryManager:
                 self.stats.recovered_from[source] = (
                     self.stats.recovered_from.get(source, 0) + 1
                 )
-                if bus._subs:
+                if bus._detail:
                     bus.emit(
                         BlockRecovered(
                             bucket=cs.bucket,
@@ -305,7 +305,7 @@ class RecoveryManager:
                     )
                 continue
             if self.policy == POLICY_RECOVER:
-                if bus._subs:
+                if bus._detail:
                     bus.emit(
                         RecoveryFailed(
                             bucket=cs.bucket,
@@ -325,7 +325,7 @@ class RecoveryManager:
             # but the tree is structurally sound again.
             self._drop_slot(cs)
             self.stats.unrecoverable += 1
-            if bus._subs:
+            if bus._detail:
                 bus.emit(
                     RecoveryFailed(
                         bucket=cs.bucket,
@@ -447,7 +447,7 @@ class RecoveryManager:
             self.controller.posmap.repair(addr, cand.leaf)
             self.stats.posmap_repairs += 1
             bus = self.bus
-            if bus._subs:
+            if bus._detail:
                 bus.emit(
                     PosmapRepaired(
                         addr=addr, stale_leaf=leaf, leaf=cand.leaf, ts=bus.now

@@ -198,7 +198,7 @@ class Stash:
             self._shadow_source_level[addr] = level
             self._shadow_seq[addr] = self._shadow_seq_next
             self._shadow_seq_next += 1
-            if self.bus._subs:
+            if self.bus._detail:
                 self._emit_occupancy()
             return
 
@@ -222,7 +222,7 @@ class Stash:
         if nreal > self.peak_real:
             self.peak_real = nreal
         self._shadow_source_level.pop(addr, None)
-        if self.bus._subs:
+        if self.bus._detail:
             self._emit_occupancy()
 
     def remove_real(self, addr: int) -> Block:
@@ -233,14 +233,14 @@ class Stash:
         authoritative copy now lives in the tree.
         """
         blk = self._real.pop(addr)
-        if self.bus._subs:
+        if self.bus._detail:
             self._emit_occupancy()
         return blk
 
     def remove_shadow(self, addr: int) -> Block | None:
         """Remove and return the shadow block for ``addr`` if present."""
         blk = self._shadow.pop(addr, None)
-        if blk is not None and self.bus._subs:
+        if blk is not None and self.bus._detail:
             self._emit_occupancy()
         return blk
 

@@ -219,7 +219,7 @@ class TinyOramController:
             ``"write"``).  This is the adversary's trace.
         bus: Observability event bus.  When ``None`` a private bus is
             created; emission sites are no-ops until a subscriber attaches
-            (the fast path is a single ``if not bus._subs`` check).
+            (the fast path is a single attribute test).
         timer: Path-access timing strategy.  ``None`` derives the standard
             one from ``config`` + ``dram`` (treetop/XOR selection lives in
             :class:`~repro.mem.dram.PathTimer`, not here); the scheduling
@@ -398,8 +398,9 @@ class TinyOramController:
             evicted=evicted,
             path_accesses=1 + extra_paths,
         )
-        if observed:
+        if bus._detail:
             bus.emit(DummyIssued(leaf=leaf, ts=now, finish=finish))
+        if observed:
             bus.emit(_completed(result, bus.core))
             bus.emit(SpanFinished(name="dummy", ts=finish))
         if self.post_access_hook is not None:
@@ -421,7 +422,7 @@ class TinyOramController:
         self.stats.stash_hits += 1
         self.stats.onchip_serves += 1
         ready = now + self.config.onchip_latency
-        if self.bus._subs:
+        if self.bus._detail:
             self.bus.emit(
                 BlockServed(
                     addr=addr,
@@ -495,7 +496,7 @@ class TinyOramController:
         if served_from == SERVED_TREETOP:
             self.stats.treetop_serves += 1
             self.stats.onchip_serves += 1
-        if self.bus._subs:
+        if self.bus._detail:
             self.bus.emit(
                 BlockServed(
                     addr=addr,
@@ -539,10 +540,11 @@ class TinyOramController:
         )
         write_timing = self._path_write(leaf, read_timing.finish)
         self.stats.evictions += 1
-        if observed:
+        if bus._detail:
             bus.emit(
                 EvictionPerformed(leaf=leaf, start=now, finish=write_timing.finish)
             )
+        if observed:
             bus.emit(SpanFinished(name="eviction", ts=write_timing.finish))
         return write_timing.finish, True, 2
 
@@ -609,8 +611,9 @@ class TinyOramController:
         stats.blocks_internal += self._blocks_per_path
         if self.observer is not None:
             self.observer(("read", leaf, now))
-        if observed:
+        if bus._detail:
             bus.emit(PathReadStarted(leaf=leaf, purpose=purpose, ts=now))
+        if observed:
             bus.emit(SpanStarted(name="stash_scan", ts=now))
 
         data_ready: float | None = None
@@ -676,6 +679,7 @@ class TinyOramController:
                         insert(blk, level)
         if observed:
             bus.emit(SpanFinished(name="stash_scan", ts=now))
+        if bus._detail:
             bus.emit(
                 PathReadFinished(leaf=leaf, purpose=purpose, ts=timing.finish)
             )

@@ -818,7 +818,7 @@ class OramServer:
         if self.slo is not None:
             self.slo.observe_served(wall_ms, access.latency_cycles)
         bus = self.bus
-        if bus is not None and bus._subs:
+        if bus is not None and bus._detail:
             bus.emit(
                 ServeRequestServed(
                     addr=addr,

@@ -561,7 +561,7 @@ class ShardSupervisor:
             st.ckpt.save(st.log.length, st.handle.snapshot())
             st.count("checkpoints_saved")
             bus = self.bus
-            if bus is not None and bus._subs:
+            if bus is not None and bus._detail:
                 bus.emit(
                     ShardRecovered(
                         shard=shard,

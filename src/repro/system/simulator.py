@@ -296,7 +296,7 @@ class SystemSimulator:
                 latency_sum = frontend["latency_sum"]
                 completions = list(frontend["completions"])
                 backend.restore_state(frontend["backend"])
-                if observed:
+                if bus._detail:
                     bus.emit(
                         CheckpointRestored(
                             access_index=served, path=str(path), ts=end_time
@@ -412,7 +412,7 @@ class SystemSimulator:
                     "backend": backend.snapshot_state(),
                 }
                 path = checkpointer.save(served, frontend)
-                if observed:
+                if bus._detail:
                     bus.emit(
                         CheckpointSaved(
                             access_index=served, path=str(path), ts=end_time

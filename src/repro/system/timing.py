@@ -71,13 +71,13 @@ class RequestScheduler:
             slot = max(self.next_slot, self.controller_free)
             self.next_slot = slot + rate
             if ready <= slot:
-                if self.bus._subs:
+                if self.bus._detail:
                     self.bus.emit(
                         SlotAligned(ready=ready, slot=slot, wait=slot - ready)
                     )
-                    if slot > ready:
-                        self.bus.emit(SpanStarted(name="stall", ts=ready))
-                        self.bus.emit(SpanFinished(name="stall", ts=slot))
+                if slot > ready and self.bus._subs:
+                    self.bus.emit(SpanStarted(name="stall", ts=ready))
+                    self.bus.emit(SpanFinished(name="stall", ts=slot))
                 return slot
             result = self.controller.dummy_access(slot)
             self.controller_free = result.finish

@@ -16,9 +16,11 @@ from repro.obs.events import (
     PathReadFinished,
     PathReadStarted,
     RequestCompleted,
+    SPAN_EVENT_TYPES,
     StashOccupancy,
     event_to_dict,
 )
+from repro.obs.spans import SpanTracer
 from repro.oram.config import OramConfig
 from repro.system.config import SystemConfig
 from repro.system.simulator import simulate
@@ -60,6 +62,21 @@ class TestEventBus:
         assert not seen
         assert not bus.active
 
+    def test_detail_flag_follows_what_subscribers_take(self):
+        bus = EventBus()
+        assert not bus._detail
+        SpanTracer(bus)
+        assert bus._subs and not bus._detail
+        seen = []
+        bus.subscribe(seen.append)
+        assert bus._detail
+        bus.unsubscribe(seen.append)
+        assert not bus._detail
+        bus.subscribe(seen.append, DuplicationPlaced)
+        assert bus._detail
+        bus.unsubscribe(seen.append)
+        assert bus._subs and not bus._detail
+
     def test_event_to_dict_has_type_discriminator(self):
         event = DummyIssued(leaf=7, ts=1.0, finish=2.0)
         record = event_to_dict(event)
@@ -82,6 +99,43 @@ def collect_run(tp=False, requests=4000, workload="mcf"):
         config = config.with_timing_protection(800)
     result = simulate(config, workload, num_requests=requests, bus=bus)
     return events, result
+
+
+class RecordingBus(EventBus):
+    """Records every event emitted, subscribed-for or not."""
+
+    def __init__(self):
+        super().__init__()
+        self.emitted = []
+
+    def emit(self, event):
+        self.emitted.append(type(event))
+        super().emit(event)
+
+
+class TestSpanOnlyRun:
+    CONFIG = SystemConfig.dynamic(
+        3, oram=OramConfig(levels=8, integrity=True, recovery="recover")
+    ).with_timing_protection(800)
+
+    def run(self, bus):
+        return simulate(self.CONFIG, "mcf", num_requests=2000, bus=bus)
+
+    def test_span_tracer_alone_builds_only_span_events(self):
+        bus = RecordingBus()
+        tracer = SpanTracer(bus)
+        self.run(bus)
+        assert tracer.traces
+        assert set(bus.emitted) <= SPAN_EVENT_TYPES
+
+    def test_untyped_subscriber_gets_every_family(self):
+        bus = RecordingBus()
+        bus.subscribe(lambda event: None)
+        self.run(bus)
+        assert {
+            StashOccupancy, DuplicationPlaced, BlockServed, DummyIssued,
+            PathReadStarted, EvictionPerformed,
+        } <= set(bus.emitted)
 
 
 class TestRunInvariants:

@@ -18,8 +18,15 @@ from random import Random
 
 import pytest
 
+from repro.core.config import ShadowConfig
+from repro.core.controller import ShadowOramController
 from repro.mem.dram import DramConfig
-from repro.obs.events import EventBus, SpanFinished, SpanStarted
+from repro.obs.events import (
+    EventBus,
+    RequestCompleted,
+    SpanFinished,
+    SpanStarted,
+)
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import (
     ROOT_SPAN_NAMES,
@@ -141,6 +148,78 @@ class TestAnnotations:
         assert all(t.kind != "dummy" for t in top)
         latencies = [t.latency for t in top]
         assert latencies == sorted(latencies, reverse=True)
+
+
+class TestServedFromLabeling:
+    """A missing source is ``dummy`` only for a dummy, else ``unknown``."""
+
+    @staticmethod
+    def label(op, served_from):
+        bus = EventBus()
+        tracer = SpanTracer(bus)
+        bus.emit(SpanStarted(name="request", ts=0.0))
+        bus.emit(RequestCompleted(
+            addr=-1 if op == "dummy" else 3, op=op, served_from=served_from,
+            issue=0.0, data_ready=10.0, finish=20.0, evicted=False,
+            path_accesses=1, core=-1,
+        ))
+        bus.emit(SpanFinished(name="request", ts=20.0))
+        return tracer.traces[0].served_from
+
+    def test_real_request_without_source_is_unknown_not_dummy(self):
+        assert self.label("read", None) == "unknown"
+
+    def test_dummy_request_is_labelled_dummy(self):
+        assert self.label("dummy", None) == "dummy"
+
+    def test_real_source_passes_through(self):
+        assert self.label("read", "path") == "path"
+
+
+class TestStandaloneController:
+    """A standalone controller on a bus yields one trace per ``access()``."""
+
+    @staticmethod
+    def traced_accesses(n):
+        cfg = OramConfig(levels=6, utilization=0.25, stash_capacity=200)
+        bus = EventBus()
+        tracer = SpanTracer(bus)
+        ctl = ShadowOramController(
+            cfg, Random(4), ShadowConfig.static(3), bus=bus
+        )
+        rng = Random(5)
+        results = []
+        now = 0.0
+        for _ in range(n):
+            result = ctl.access(rng.randrange(ctl.num_blocks), now=now)
+            results.append(result)
+            now = result.finish
+        return tracer.traces, results
+
+    def test_one_record_per_request(self):
+        traces, _results = self.traced_accesses(200)
+        assert len(traces) == 200
+        assert [t.trace_id for t in traces] == list(range(200))
+
+    def test_latency_and_ordering(self):
+        traces, _results = self.traced_accesses(200)
+        for trace in traces:
+            assert trace.latency >= 0
+            assert trace.finish >= trace.data_ready >= trace.issue
+
+    def test_one_annotated_trace_per_access(self):
+        traces, _results = self.traced_accesses(150)
+        assert len(traces) == 150
+        for trace in traces:
+            assert trace.kind == "oram_access"
+            assert trace.annotated
+            assert trace.served_from not in (None, "unknown", "dummy")
+
+    def test_traces_match_access_results(self):
+        traces, results = self.traced_accesses(100)
+        assert [(t.addr, t.served_from, t.latency) for t in traces] == [
+            (r.addr, r.served_from, r.data_ready - r.issue) for r in results
+        ]
 
 
 class TestSampling:

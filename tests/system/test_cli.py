@@ -159,7 +159,7 @@ class TestObservabilityFlags:
         ])
         assert code == 0
         out = capsys.readouterr().out
-        assert "oram access" in out
+        assert "oram_access" in out
         assert "trace build" in out
         assert "host time" in out
 
