@@ -43,13 +43,16 @@ FIFO order, position map, RNG, hot cache and the Rule-2 source level of
 every stashed shadow.  The shard case drives a 4-shard in-process
 :class:`~repro.shard.ShardSupervisor` (snapshots off) through seeded
 rounds and digests the served accesses, the padded ``(round, shard)``
-dispatch trace and the fleet ``state_digest()``.
+dispatch trace, the fleet ``state_digest()`` and the bytes of the four
+``shard-<k>/intents.log`` files read after ``close()``: the on-disk log
+that ``--restore`` replays must stay readable across versions.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict
 from hashlib import sha256
+from pathlib import Path
 from random import Random
 from tempfile import TemporaryDirectory
 
@@ -284,10 +287,15 @@ def run_serve_case(name: str) -> dict[str, str]:
             state = fleet.state_digest()
         finally:
             fleet.close()
+        logs = sha256()
+        for k in range(fleet.settings.num_shards):
+            log = Path(state_dir) / f"shard-{k}" / "intents.log"
+            logs.update(log.read_bytes())
     return {
         "served": served,
         "dispatch": stable_hash(dispatch),
         "state": state,
+        "intents": logs.hexdigest(),
     }
 
 
