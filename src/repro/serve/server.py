@@ -182,7 +182,8 @@ class OramServer:
             :class:`~repro.shard.supervisor.ShardSupervisor` (anything
             exposing ``check_health`` is treated as a supervised fleet:
             the server starts it, runs its heartbeat sweep, parks work
-            for dead shards, and closes it at drain).
+            for dead shards, and closes it at drain; its
+            ``settings.mode`` says whether rounds wait on worker pipes).
         flight_recorder: A :class:`~repro.obs.flightrec.FlightRecorder`
             already subscribed to ``bus``; dumped on crash, SLO breach,
             and drain.
@@ -213,6 +214,10 @@ class OramServer:
             bridge = OramServeBridge(config, seed, bus=bus, observer=observer)
         self.bridge = bridge
         self._sharded = hasattr(bridge, "check_health")
+        # Only a process-housed fleet's rounds wait on something other
+        # than this process's CPU: worker pipes, for up to the fleet's
+        # access timeout.
+        self._pipes = self._sharded and bridge.settings.mode == "process"
         # The serve-layer emission bus: the explicit one, else whatever
         # the bridge already carries (None stays None — every emission
         # site is guarded, so an unmonitored run constructs no events).
@@ -790,24 +795,24 @@ class OramServer:
             return
         if self.injector is not None:
             self.injector.before_serve_access(self.bridge.served)
-        if self._sharded:
-            try:
-                # Fleet access rounds block on worker pipes; keep the
-                # event loop free to admit and shed while they run.
+        try:
+            if self._round_waits():
+                # Keep the event loop free to admit and shed while the
+                # round waits on worker pipes or the supervisor lock.
                 access = await loop.run_in_executor(
                     None, self.bridge.access, addr, op, payload
                 )
-            except ShardUnavailable as down:
-                # The owning shard died after this request was admitted:
-                # park it (window and accounting slot intact) until the
-                # recovery task requeues it — served exactly once, just
-                # later.
-                self._count("parked")
-                self._parked.setdefault(down.shard, deque()).append(item)
-                self._ensure_recovery(down.shard)
-                return
-        else:
-            access = self.bridge.access(addr, op, payload)
+            else:
+                access = self.bridge.access(addr, op, payload)
+        except ShardUnavailable as down:
+            # The owning shard died after this request was admitted:
+            # park it (window and accounting slot intact) until the
+            # recovery task requeues it — served exactly once, just
+            # later.
+            self._count("parked")
+            self._parked.setdefault(down.shard, deque()).append(item)
+            self._ensure_recovery(down.shard)
+            return
         wall_ms = (loop.time() - admit_t) * 1000.0
         self.h_wall.observe(wall_ms)
         self.h_cycles.observe(access.latency_cycles)
@@ -841,6 +846,20 @@ class OramServer:
             response["value"] = payload_to_jsonable(access.value, strict=False)
         session.send(response, release_window=True)
         self._maybe_checkpoint()
+
+    def _round_waits(self) -> bool:
+        """Whether the next access can block on more than this CPU.
+
+        A process-housed fleet blocks on worker pipes, and a background
+        recovery holds the supervisor lock for its whole replay; such a
+        round goes to the default executor.  Every other access (one
+        bridge, or an in-process fleet round, including a deny-mode
+        recovery inside it) is plain CPU work and runs on the loop.
+        """
+        if self._pipes:
+            return True
+        tasks = self._recover_tasks
+        return bool(tasks) and any(not t.done() for t in tasks.values())
 
     def _maybe_checkpoint(self) -> None:
         every = self.settings.checkpoint_every

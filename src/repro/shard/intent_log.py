@@ -12,9 +12,9 @@ which the replay applies exactly once.
 
 Failure model, mirroring :mod:`repro.system.checkpoint`:
 
-* appends are a single ``write`` of one ``\\n``-terminated JSON line
-  followed by ``flush``; a crash mid-append can only tear the *final*
-  line;
+* each append is a single unbuffered ``write`` of one
+  ``\\n``-terminated JSON line; a crash mid-append can only tear the
+  *final* line;
 * reading tolerates exactly that: a torn last line is dropped (the
   intent never executed anywhere that matters — its shard died before
   acknowledging it, and the supervisor re-dispatches);
@@ -35,6 +35,10 @@ from repro.serialize import SCHEMA_VERSION
 #: Intent kinds: a client-requested access vs. a padding dummy slot.
 KIND_REAL = "real"
 KIND_DUMMY = "dummy"
+
+# One compact encoder for every line (``json.dumps`` with non-default
+# separators would build a fresh encoder per call).
+_encode = json.JSONEncoder(separators=(",", ":")).encode
 
 
 class IntentLogCorrupt(RuntimeError):
@@ -69,7 +73,7 @@ class Intent:
         }
 
     def to_line(self) -> str:
-        return json.dumps(self.to_payload(), separators=(",", ":"))
+        return _encode(self.to_payload())
 
     @classmethod
     def from_payload(cls, payload: dict[str, object]) -> "Intent":
@@ -101,14 +105,14 @@ class IntentLog:
         self.run_key = run_key
         self._entries: list[Intent] = []
         self.torn_tail_dropped = 0
+        # Unbuffered binary: every line below is exactly one write(2).
         if self.path.exists():
             self._load()
-            self._fh = self.path.open("a", encoding="utf-8")
+            self._fh = self.path.open("ab", buffering=0)
         else:
-            self._fh = self.path.open("w", encoding="utf-8")
+            self._fh = self.path.open("wb", buffering=0)
             header = {"schema": SCHEMA_VERSION, "run": run_key}
-            self._fh.write(json.dumps(header, separators=(",", ":")) + "\n")
-            self._fh.flush()
+            self._fh.write((_encode(header) + "\n").encode())
 
     # ------------------------------------------------------------------
     @property
@@ -122,8 +126,7 @@ class IntentLog:
                 f"append out of order: got ordinal {intent.ordinal}, "
                 f"expected {len(self._entries)}"
             )
-        self._fh.write(intent.to_line() + "\n")
-        self._fh.flush()
+        self._fh.write((intent.to_line() + "\n").encode())
         self._entries.append(intent)
 
     def entries_from(self, start: int) -> list[Intent]:
