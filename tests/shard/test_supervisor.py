@@ -6,6 +6,8 @@ witnessed by the per-shard state digests — while the accounting identity
 and the padded dispatch schedule hold throughout.
 """
 
+import sys
+import threading
 from random import Random
 
 import pytest
@@ -259,6 +261,48 @@ class TestObservability:
         # Padded dispatch: every shard logged one intent per round.
         assert len({s["intents"] for s in stats}) == 1
         assert crashed["real"] + crashed["dummy"] == crashed["intents"]
+        sup.close()
+
+    def test_shard_stats_reads_consistently_while_rounds_run(self, tmp_path):
+        # shard_stats() takes no lock.  Poll it from more threads than
+        # cores, with a short switch interval, while rounds run and a
+        # deny-mode crash recovers: every view must stay monotone.
+        sup = make_sup(
+            tmp_path,
+            injector=crash_injector("shard-crash:shard=1,at_access=20"),
+            degraded="deny",
+        )
+        done = threading.Event()
+        errors = []
+
+        def poll():
+            last = [0, 0, 0]
+            try:
+                while not done.is_set():
+                    for s in sup.shard_stats():
+                        executed = s["real"] + s["dummy"]
+                        assert executed >= last[s["shard"]]
+                        last[s["shard"]] = executed
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        pollers = [threading.Thread(target=poll) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in pollers:
+                thread.start()
+            drive(sup, 60)
+        finally:
+            done.set()
+            for thread in pollers:
+                thread.join(10)
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in pollers)
+        assert errors == []
+        stats = sup.shard_stats()
+        assert stats[1]["respawns"] == 1
+        assert all(s["real"] + s["dummy"] == s["intents"] for s in stats)
         sup.close()
 
     def test_recovery_emits_shard_recovered_event(self, tmp_path):
