@@ -46,6 +46,16 @@ rounds and digests the served accesses, the padded ``(round, shard)``
 dispatch trace, the fleet ``state_digest()`` and the bytes of the four
 ``shard-<k>/intents.log`` files read after ``close()``: the on-disk log
 that ``--restore`` replays must stay readable across versions.
+
+Counter cases pin exact counter values rather than digests, so a
+failure names the counter that moved.  ``counters/dynamic-3-L10/mcf``
+runs dynamic-3 on mcf (L=10, 2,000 requests, seed 1) under a
+:class:`~repro.obs.metrics.MetricsCollector` and pins its
+``requests/*`` and ``served/*`` counters.  ``counters/fleet-x4-L8/tenants``
+drives a 4-shard in-process fleet (dynamic-3, L=8, snapshots off) with
+2,000 ``tenants`` requests and pins the ``fleet/*`` rollups; a recovery
+is bit-identical by design, so ``fleet/recoveries`` can move while every
+other digest holds still.
 """
 
 from __future__ import annotations
@@ -64,6 +74,7 @@ from repro.obs.events import (
     DuplicationPlaced,
     EventBus,
 )
+from repro.obs.metrics import MetricsCollector, MetricsRegistry
 from repro.obs.spans import SpanTracer
 from repro.oram.config import OramConfig
 from repro.oram.ring import RingConfig, RingOramController
@@ -73,6 +84,7 @@ from repro.serve import OramServeBridge
 from repro.shard import ShardSettings, ShardSupervisor
 from repro.system.config import SystemConfig
 from repro.system.simulator import simulate
+from repro.workloads.spec import get_workload
 
 SIM_REQUESTS = 10_000
 SIM_WORKLOADS = ("h264ref", "mcf")
@@ -118,6 +130,21 @@ RING_CASES = {
 # SERVE_RANGE blocks, about 10% writes.
 SERVE_CASES = {"serve/dynamic-3": 3_000, "shard/dynamic-3-x4": 500}
 SERVE_RANGE = 2_000
+
+# Exact counters: (workload, levels) per case, seed 1.
+COUNTER_CASES = {
+    "counters/dynamic-3-L10/mcf": ("mcf", 10),
+    "counters/fleet-x4-L8/tenants": ("tenants", 8),
+}
+COUNTER_REQUESTS = 2_000
+SIM_COUNTERS = (
+    "requests/data", "requests/real_oram", "served/onchip", "served/path",
+    "served/shadow_path", "served/shadow_stash",
+)
+FLEET_COUNTERS = (
+    "fleet/rounds", "fleet/accesses_real", "fleet/accesses_dummy",
+    "fleet/recoveries",
+)
 
 
 def _strip_wall(span: dict) -> dict:
@@ -299,7 +326,39 @@ def run_serve_case(name: str) -> dict[str, str]:
     }
 
 
-def run_case(name: str) -> dict[str, str]:
+def run_counter_case(name: str) -> dict[str, int]:
+    """Exact counters of one simulation or in-process fleet run."""
+    workload, levels = COUNTER_CASES[name]
+    config = SystemConfig.dynamic(3, oram=OramConfig(levels=levels))
+    if not name.startswith("counters/fleet"):
+        bus = EventBus()
+        collector = MetricsCollector(bus)
+        simulate(config, workload, num_requests=COUNTER_REQUESTS, seed=1,
+                 bus=bus)
+        return {n: collector.registry.counter(n).value for n in SIM_COUNTERS}
+    with TemporaryDirectory() as state_dir:
+        fleet = ShardSupervisor(
+            config, seed=1, state_dir=state_dir,
+            settings=ShardSettings(num_shards=4, mode="inproc",
+                                   checkpoint_every=0),
+        )
+        fleet.start()
+        try:
+            for req in get_workload(workload).requests(
+                1, COUNTER_REQUESTS, fleet.num_blocks
+            ):
+                fleet.access(req.addr, req.op,
+                             req.addr if req.op == "write" else None)
+        finally:
+            fleet.close()
+    registry = MetricsRegistry()
+    fleet.export_metrics(registry)
+    return {n: registry.counter(n).value for n in FLEET_COUNTERS}
+
+
+def run_case(name: str) -> dict[str, object]:
+    if name in COUNTER_CASES:
+        return run_counter_case(name)
     if name in SIM_CASES:
         return run_sim_case(name)
     if name in RECOVER_CASES:
@@ -309,4 +368,6 @@ def run_case(name: str) -> dict[str, str]:
     return run_ring_case(name)
 
 
-ALL_CASES = [*SIM_CASES, *RECOVER_CASES, *RING_CASES, *SERVE_CASES]
+ALL_CASES = [
+    *SIM_CASES, *RECOVER_CASES, *RING_CASES, *SERVE_CASES, *COUNTER_CASES,
+]
