@@ -12,15 +12,18 @@ Scale knobs (environment variables):
 ``REPRO_BENCH_REQUESTS``  memory instructions per run (default 20000)
 ``REPRO_BENCH_SWEEP_REQUESTS``  per-run length for dense parameter sweeps
                                  (default REPRO_BENCH_REQUESTS // 2)
-``REPRO_BENCH_WORKLOADS`` comma list of workloads (default: all ten)
+``REPRO_BENCH_WORKLOADS`` comma list of workloads (default: the paper's
+                           ten SPEC-2006-like workloads)
 ``REPRO_BENCH_SEED``      workload/ORAM seed (default 1)
 ``REPRO_BENCH_CACHE_DIR`` on-disk result cache directory (default: no
                            on-disk cache; runs are only memoised in
                            process)
 
-Benchmark artifacts (full-suite transcripts, ``repro bench`` history)
-belong in :data:`RESULTS_DIR` (``benchmarks/results/``, gitignored), not
-the repo root; :func:`results_path` creates it on demand.
+Benchmark artifacts (full-suite transcripts) belong in
+:data:`RESULTS_DIR` (``benchmarks/results/``), not the repo root;
+:func:`results_path` creates it on demand.  The directory is gitignored
+except for ``BENCH_ci.json``, the committed ``repro bench`` record of
+the repository benchmark (``BENCHMARK.json``).
 """
 
 from __future__ import annotations
@@ -33,9 +36,9 @@ from repro.analysis.cache import ResultCache
 from repro.analysis.engine import SweepPoint, SweepRunner
 from repro.cpu.core import CpuConfig
 from repro.oram.config import OramConfig
-from repro.system.config import SystemConfig
+from repro.system.config import SystemConfig, named_config
 from repro.system.metrics import SimulationResult, geomean
-from repro.workloads.spec import workload_names
+from repro.workloads.spec import PAPER_WORKLOADS
 
 N_REQUESTS = int(os.environ.get("REPRO_BENCH_REQUESTS", "20000"))
 N_SWEEP = int(
@@ -45,8 +48,8 @@ SEED = int(os.environ.get("REPRO_BENCH_SEED", "1"))
 DEFAULT_LEVELS = 14
 CACHE_DIR = os.environ.get("REPRO_BENCH_CACHE_DIR")
 
-# Where benchmark output artifacts live (gitignored; shared with the
-# `python -m repro bench` per-host history files).
+# Where benchmark output artifacts live (gitignored; `python -m repro
+# bench` writes its per-host history files here too).
 RESULTS_DIR = Path(__file__).resolve().parent / "results"
 
 
@@ -65,11 +68,15 @@ RUNNER = SweepRunner(
 
 
 def bench_workloads() -> list[str]:
-    """Workloads the benchmarks sweep (env-overridable)."""
+    """Workloads the benchmarks sweep: the paper's ten (env-overridable).
+
+    The serving workloads ``zipf`` and ``tenants`` are not in the
+    default; the paper never plotted them.
+    """
     env = os.environ.get("REPRO_BENCH_WORKLOADS")
     if env:
         return [name.strip() for name in env.split(",") if name.strip()]
-    return workload_names()
+    return list(PAPER_WORKLOADS)
 
 
 def make_config(
@@ -82,8 +89,9 @@ def make_config(
 ) -> SystemConfig:
     """Build a named experiment configuration.
 
-    ``scheme``: ``tiny`` | ``insecure`` | ``rd`` | ``hd`` |
-    ``static-<P>`` | ``dynamic-<W>``.
+    ``scheme``: any name :func:`repro.system.config.named_config` takes
+    (``tiny``, ``insecure``, ``rd``, ``hd``, ``static-<P>``,
+    ``dynamic-<W>``, ...).
     """
     oram = OramConfig(
         levels=levels,
@@ -91,20 +99,7 @@ def make_config(
         treetop_levels=treetop,
         xor_compression=xor,
     )
-    if scheme == "tiny":
-        cfg = SystemConfig.tiny(oram=oram)
-    elif scheme == "insecure":
-        cfg = SystemConfig.insecure_system(oram=oram)
-    elif scheme == "rd":
-        cfg = SystemConfig.rd_dup(oram=oram)
-    elif scheme == "hd":
-        cfg = SystemConfig.hd_dup(oram=oram)
-    elif scheme.startswith("static-"):
-        cfg = SystemConfig.static(int(scheme.split("-")[1]), oram=oram)
-    elif scheme.startswith("dynamic-"):
-        cfg = SystemConfig.dynamic(int(scheme.split("-")[1]), oram=oram)
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}")
+    cfg = named_config(scheme, oram=oram)
     if xor:
         cfg = cfg.with_(name=f"{cfg.name}+XOR")
     if treetop:

@@ -1,17 +1,9 @@
-"""Small statistics helpers shared by benchmarks and examples.
-
-Also home of the perf-regression gate used by ``python -m repro bench
---compare`` (:mod:`repro.analysis.benchtrack`): :func:`regression_gate`
-compares two repeat samples with a relative threshold and a minimum
-repeat count, so a single noisy run can neither flag nor mask a
-regression.
-"""
+"""Small statistics helpers shared by benchmarks and examples."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 
 def geometric_mean(values: Sequence[float]) -> float:
@@ -55,70 +47,3 @@ def percentile(values: Sequence[float], q: float) -> float:
 def intervals(times: Sequence[float]) -> list[float]:
     """Differences between consecutive timestamps (e.g. miss intervals)."""
     return [b - a for a, b in zip(times, times[1:])]
-
-
-# ----------------------------------------------------------------------
-# Perf-regression gating
-# ----------------------------------------------------------------------
-@dataclass(frozen=True, slots=True)
-class RegressionCheck:
-    """Verdict of one baseline-vs-current comparison.
-
-    ``ratio`` is ``current / baseline`` of the aggregated samples (> 1
-    means slower when higher is worse); ``regressed`` is only ever True
-    when both samples clear ``min_repeats`` — an under-sampled
-    comparison is *gated*, never flagged.
-    """
-
-    metric: str
-    baseline: float
-    current: float
-    ratio: float
-    threshold: float
-    regressed: bool
-    reason: str
-
-    def describe(self) -> str:
-        state = "REGRESSION" if self.regressed else "ok"
-        return (
-            f"{self.metric}: {state} ({self.baseline:g} -> {self.current:g}, "
-            f"{self.ratio:.3f}x, threshold {1 + self.threshold:.2f}x; "
-            f"{self.reason})"
-        )
-
-
-def regression_gate(
-    baseline: Sequence[float],
-    current: Sequence[float],
-    metric: str = "wall_s",
-    threshold: float = 0.25,
-    min_repeats: int = 2,
-    aggregate: Callable[[Sequence[float]], float] = min,
-) -> RegressionCheck:
-    """Compare two repeat samples; flag a regression past ``threshold``.
-
-    Samples are aggregated with ``aggregate`` (default best-of — the
-    minimum is the least noise-sensitive wall-clock statistic) and the
-    ratio is tested against ``1 + threshold``.  Either sample shorter
-    than ``min_repeats`` gates the check to "insufficient repeats"
-    instead of guessing.
-    """
-    if not baseline or not current:
-        raise ValueError("regression_gate needs non-empty samples")
-    base = aggregate(baseline)
-    cur = aggregate(current)
-    ratio = cur / base if base > 0 else math.inf
-    if len(baseline) < min_repeats or len(current) < min_repeats:
-        return RegressionCheck(
-            metric, base, cur, ratio, threshold, False,
-            f"gated: need >= {min_repeats} repeats "
-            f"(have {len(baseline)} baseline, {len(current)} current)",
-        )
-    if ratio > 1.0 + threshold:
-        return RegressionCheck(
-            metric, base, cur, ratio, threshold, True,
-            f"{ratio:.3f}x exceeds {1 + threshold:.2f}x",
-        )
-    return RegressionCheck(
-        metric, base, cur, ratio, threshold, False, "within threshold"
-    )

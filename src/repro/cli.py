@@ -10,7 +10,7 @@ Usage (after ``pip install -e .``)::
     python -m repro compare --workload h264ref --timing-protection
     python -m repro sweep --workloads mcf,libquantum --schemes insecure,tiny,dynamic-3 --jobs 4
     python -m repro sweep --jobs 4 --metrics merged.json --live --progress-jsonl progress.jsonl
-    python -m repro bench --workload mcf --requests 5000 --compare
+    python -m repro bench --workload sim-dup --seconds 5 --compare
     python -m repro serve --scheme dynamic-3 --port 7700 --checkpoint-dir ckpt
     python -m repro load --port 7700 --clients 8 --requests 500 --rate 400
     python -m repro workloads
@@ -38,6 +38,7 @@ from repro.analysis.manifest import SweepLedger
 from repro.analysis.report import format_table
 from repro.core.config import ShadowConfig
 from repro.exit_codes import (
+    EXIT_BENCH_INCORRECT,
     EXIT_BENCH_REGRESSION,
     EXIT_INTERRUPTED,
     EXIT_OK,
@@ -77,15 +78,10 @@ from repro.obs import (
 from repro.oram.config import OramConfig
 from repro.oram.integrity import IntegrityError
 from repro.system.checkpoint import Checkpointer
-from repro.system.config import SystemConfig
+from repro.system.config import SystemConfig, named_config
 from repro.system.overhead import estimate_overhead
 from repro.system.simulator import simulate
 from repro.workloads.spec import WORKLOADS, workload_names
-
-KNOWN_SCHEMES = (
-    "tiny", "insecure", "rd-dup", "hd-dup", "static-<P>", "dynamic-<W>",
-)
-
 
 def build_config(args: argparse.Namespace) -> SystemConfig:
     """Translate CLI flags into a :class:`SystemConfig`."""
@@ -98,25 +94,10 @@ def build_config(args: argparse.Namespace) -> SystemConfig:
         recovery=args.recovery_policy,
         scrub_interval=args.scrub_interval,
     )
-    scheme = args.scheme.lower()
-    if scheme == "tiny":
-        config = SystemConfig.tiny(oram=oram)
-    elif scheme == "insecure":
-        config = SystemConfig.insecure_system(oram=oram)
-    elif scheme in ("rd", "rd-dup"):
-        config = SystemConfig.rd_dup(oram=oram)
-    elif scheme in ("hd", "hd-dup"):
-        config = SystemConfig(
-            name="HD-Dup", oram=oram, shadow=ShadowConfig.hd_only(oram.levels)
-        )
-    elif scheme.startswith("static-"):
-        config = SystemConfig.static(int(scheme.split("-", 1)[1]), oram=oram)
-    elif scheme.startswith("dynamic-"):
-        config = SystemConfig.dynamic(int(scheme.split("-", 1)[1]), oram=oram)
-    else:
-        raise SystemExit(
-            f"unknown scheme {args.scheme!r}; known: {', '.join(KNOWN_SCHEMES)}"
-        )
+    try:
+        config = named_config(args.scheme, oram=oram)
+    except ValueError as exc:
+        raise SystemExit(str(exc)) from None
     if args.timing_protection:
         config = config.with_timing_protection(args.rate)
     return config.with_(seed=args.seed)
@@ -603,51 +584,71 @@ def cmd_trace_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    config = build_config(args)
-    print(f"config: {config.describe()}")
+    import json
+    from datetime import datetime, timezone
+
+    from repro.obs.log import git_describe
+
+    try:
+        bench = json.loads(benchtrack.BENCHMARK_FILE.read_text())
+    except FileNotFoundError:
+        raise SystemExit(
+            f"no {benchtrack.BENCHMARK_FILE} in the working directory"
+        ) from None
+    declared = [w["name"] for w in bench["workloads"]]
+    if args.workload not in declared:
+        raise SystemExit(f"unknown workload {args.workload!r}; "
+                         f"{benchtrack.BENCHMARK_FILE} declares "
+                         f"{', '.join(declared)}")
+    seconds = (args.seconds if args.seconds is not None
+               else float(bench["run_seconds"]))
     history = benchtrack.BenchHistory(args.history_dir, host=args.host)
-    if args.serve_shards > 1:
-        entry = benchtrack.measure_sharded(
-            config, args.workload, args.requests,
-            seed=args.seed, repeats=args.repeats, shards=args.serve_shards,
-        )
-    else:
-        entry = benchtrack.measure(
-            config, args.workload, args.requests,
-            seed=args.seed, repeats=args.repeats,
-        )
-    if args.host is not None:
-        # Pin the entry to the logical host name so CI baselines recorded
-        # on different runner machines stay comparable by construction.
-        entry["host"] = history.host
-    baseline = None
-    if args.compare is not None:
-        # Find the baseline before appending, or an identical re-run
-        # would compare the new entry against itself's history twin.
-        baseline = history.find_baseline(entry["key"], base=args.compare)
-    if args.update_baseline:
-        total = history.replace_latest(entry)
-        print(f"baseline updated in place for fingerprint "
-              f"{str(entry['key'])[:16]}")
-    else:
-        total = history.append(entry)
+    try:
+        prior = history.load()
+    except ValueError as exc:
+        raise SystemExit(str(exc)) from None
+    git = git_describe()
+    argv = benchtrack.bench_argv(bench, args.workload, args.seed, seconds)
+    print(f"running: {' '.join(argv)}", flush=True)
+    result = benchtrack.run_benchmark(argv)
+    if result is None:
+        print("BENCH FAILED: the command failed or printed no result line")
+        return EXIT_BENCH_INCORRECT
+    entry = {
+        "workload": args.workload,
+        "seed": args.seed,
+        "seconds": seconds,
+        "git": git,
+        "host": history.host,
+        "recorded_at": datetime.now(timezone.utc).isoformat(),
+        **result,
+    }
+    total = history.append(entry)
+    rows = [[name, f"{m['value']:.6g}", m.get("unit", "")]
+            for name, m in sorted(entry["metrics"].items())]
     print(format_table(
-        ["field", "value"], benchtrack.summarize_entry(entry),
-        title=f"Benchmark entry ({history.path}, {total} total)",
+        ["metric", "value", "unit"], rows,
+        title=f"{args.workload}, seed {args.seed}, {seconds:g} s, at {git}",
     ))
+    print(f"correct={entry['correct']}: {entry['attempted']} attempted, "
+          f"{entry['failed']} failed; recorded in {history.path} "
+          f"({total} entries)")
+    if entry["correct"] is not True:
+        print("BENCH FAILED: the benchmark's output checks failed")
+        return EXIT_BENCH_INCORRECT
     if args.compare is None:
         return 0
+    baseline = benchtrack.find_baseline(prior, entry, base=args.compare)
     if baseline is None:
         print(f"no baseline matching --compare {args.compare!r} for this "
-              f"fingerprint; recorded entry will serve as one")
+              f"workload, seed and run length; this entry will serve as one")
         return 0
-    comparison = benchtrack.compare(
-        baseline, entry,
-        threshold=args.threshold, min_repeats=args.min_repeats,
-    )
-    for line in comparison.describe():
-        print(line)
-    if comparison.regressed:
+    print(f"baseline {baseline['git']} ({baseline['recorded_at']}) "
+          f"-> current {git}")
+    checks = benchtrack.check_metrics(bench["end_to_end"], baseline, entry)
+    for line, _regressed in checks:
+        print(f"  {line}")
+    if any(regressed for _line, regressed in checks):
         print("PERF REGRESSION detected")
         return EXIT_BENCH_REGRESSION
     print("no regression")
@@ -863,13 +864,11 @@ def cmd_load(args: argparse.Namespace) -> int:
         print("fired faults (deterministic for this plan+seed):")
         for entry in injector.fired():
             print(f"  {entry}")
-    for path in (args.report, args.report_json):
-        if not path:
-            continue
-        with open(path, "w") as stream:
+    if args.report:
+        with open(args.report, "w") as stream:
             json.dump(report, stream, indent=2, sort_keys=True)
             stream.write("\n")
-        print(f"wrote load report (JSON): {path}")
+        print(f"wrote load report (JSON): {args.report}")
     return EXIT_OK if report["served"] > 0 else EXIT_SERVE_FAILED
 
 
@@ -1094,14 +1093,16 @@ def make_parser() -> argparse.ArgumentParser:
 
     bench_p = sub.add_parser(
         "bench",
-        help="record a perf benchmark into the per-host history and "
-             "optionally gate against a recorded baseline",
+        help="run the declared benchmark (BENCHMARK.json) once, record "
+             "its result in the per-host history and optionally gate it "
+             "against a recorded baseline",
     )
-    common(bench_p)
-    bench_p.add_argument("--scheme", default="dynamic-3")
+    bench_p.add_argument("--workload", required=True,
+                         help="one of BENCHMARK.json's workloads")
+    bench_p.add_argument("--seed", type=int, default=1)
     bench_p.add_argument(
-        "--repeats", type=int, default=3, metavar="N",
-        help="timed simulation passes (best-of is the tracked statistic)",
+        "--seconds", type=float, default=None, metavar="S",
+        help="run length (default: BENCHMARK.json's run_seconds)",
     )
     bench_p.add_argument(
         "--history-dir", default=str(benchtrack.DEFAULT_HISTORY_DIR),
@@ -1111,38 +1112,16 @@ def make_parser() -> argparse.ArgumentParser:
     bench_p.add_argument(
         "--host", default=None, metavar="NAME",
         help="logical host name for the history file and entry (default: "
-             "this machine's hostname); CI uses a fixed name so baselines "
-             "recorded on different runners stay comparable",
-    )
-    bench_p.add_argument(
-        "--update-baseline", action="store_true",
-        help="re-record the baseline: atomically overwrite the newest "
-             "history entry for this config fingerprint instead of "
-             "appending (use after an intentional perf change so "
-             "--compare gates against the new expected numbers)",
+             "this machine's hostname)",
     )
     bench_p.add_argument(
         "--compare", nargs="?", const="latest", default=None, metavar="BASE",
-        help="compare against the newest prior entry for this config "
-             "fingerprint ('latest', the default when BASE is omitted) "
-             "or the newest whose git revision starts with BASE; exits "
-             f"{EXIT_BENCH_REGRESSION} on regression",
-    )
-    bench_p.add_argument(
-        "--threshold", type=float, default=0.25, metavar="FRAC",
-        help="relative wall-clock slowdown tolerated before flagging "
-             "(0.25 = 25%%)",
-    )
-    bench_p.add_argument(
-        "--serve-shards", type=int, default=1, metavar="N",
-        help="benchmark padded dispatch rounds through an in-proc "
-             "N-shard fleet instead of the single-controller "
-             "simulator (shard count is part of the fingerprint)",
-    )
-    bench_p.add_argument(
-        "--min-repeats", type=int, default=2, metavar="N",
-        help="gate (never flag) comparisons where either side has fewer "
-             "timing repeats than N",
+        help="check every end-to-end metric against its BENCHMARK.json "
+             "bound, relative to the newest prior correct entry of the "
+             "same workload, seed and run length ('latest', the default "
+             "when BASE is omitted) or the newest whose git revision "
+             f"starts with BASE; exits {EXIT_BENCH_REGRESSION} on a "
+             "regression",
     )
     bench_p.set_defaults(fn=cmd_bench)
 
@@ -1351,9 +1330,7 @@ def make_parser() -> argparse.ArgumentParser:
                         help="ask the server for a graceful drain once "
                              "the schedule completes")
     load_p.add_argument("--report", metavar="FILE",
-                        help="also write the report as JSON")
-    load_p.add_argument("--report-json", metavar="FILE",
-                        help="write the report as JSON to FILE; its "
+                        help="also write the report as JSON to FILE; its "
                              "'latency' block has the same schema as the "
                              "server's wire 'stats' latency section, so "
                              "client- and server-observed latency diff "

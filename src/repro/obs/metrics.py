@@ -114,26 +114,12 @@ class Histogram:
     def mean(self) -> float:
         return self.sum / self.total if self.total else 0.0
 
-    def quantile(self, q: float) -> float:
-        """Approximate quantile: the upper bound of the covering bucket."""
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile must be in [0, 1], got {q}")
-        if not self.total:
-            return 0.0
-        target = q * self.total
-        seen = 0
-        for i, count in enumerate(self.counts):
-            seen += count
-            if seen >= target:
-                return self.bounds[i] if i < len(self.bounds) else float("inf")
-        return float("inf")
-
     def percentile(self, q: float) -> float:
         """Interpolated percentile, ``q`` in [0, 100].
 
         Linearly interpolates within the covering bucket (assuming a
         uniform spread between its lower and upper bound), which is much
-        tighter than :meth:`quantile`'s upper-bound answer on the coarse
+        tighter than the covering bucket's upper bound on the coarse
         ladders used here.  Observations past the last bound live in the
         unbounded overflow bucket, whose answer is clamped to
         ``bounds[-1]`` — finite and JSON-safe, if an underestimate.
@@ -164,7 +150,7 @@ class Histogram:
         Everything here is raw accumulator state — no percentile
         re-interpolation — so a snapshot shipped over the wire (the
         server ``stats`` latency block, the Prometheus exporter, the
-        load generator's ``--report-json``) reconstructs via
+        load generator's ``--report``) reconstructs via
         :meth:`from_export` with zero drift.
         """
         return {

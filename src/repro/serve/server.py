@@ -610,12 +610,17 @@ class OramServer:
             if kind == "req":
                 self._admit(session, message, loop)
             elif kind == "digest":
+                if self._sharded:
+                    # The fleet digest takes the supervisor lock, which a
+                    # background recovery holds for its whole replay.
+                    digest, served = await loop.run_in_executor(
+                        None, self.bridge.served_digest
+                    )
+                else:
+                    digest = self.bridge.state_digest()
+                    served = self.bridge.served
                 session.send(
-                    {
-                        "type": "digest",
-                        "digest": self.bridge.state_digest(),
-                        "served": self.bridge.served,
-                    },
+                    {"type": "digest", "digest": digest, "served": served},
                     release_window=True,
                 )
             elif kind == "stats":

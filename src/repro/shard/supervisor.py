@@ -269,6 +269,12 @@ class ShardSupervisor:
                 }
             )
 
+    def served_digest(self) -> tuple[str, int]:
+        """``(state_digest(), served)`` from one hold of the lock, so both
+        values describe the fleet between the same two rounds."""
+        with self._lock:
+            return self.state_digest(), self.served
+
     def shard_digests(self) -> dict[int, str]:
         """Per-shard state digests (all shards must be up)."""
         with self._lock:
@@ -297,22 +303,28 @@ class ShardSupervisor:
             keep=self.settings.checkpoint_keep,
         )
         root.run_key = fleet_key
-        for st in self._shards:
-            st.ckpt = root.scoped(f"shard-{st.index}", {"shard": st.index})
-            st.log = IntentLog(
-                self.state_dir / f"shard-{st.index}" / "intents.log",
-                run_key=dict(fleet_key, shard=st.index),
-            )
-            if st.log.length and not restore:
-                raise FleetFailed(
-                    f"shard {st.index} has {st.log.length} logged intents "
-                    f"in {self.state_dir}; pass restore=True (--restore) "
-                    f"or point the fleet at a clean state dir"
+        try:
+            for st in self._shards:
+                st.ckpt = root.scoped(f"shard-{st.index}", {"shard": st.index})
+                st.log = IntentLog(
+                    self.state_dir / f"shard-{st.index}" / "intents.log",
+                    run_key=dict(fleet_key, shard=st.index),
                 )
-            st.handle = self._spawn(st.index)
-            st.status = UP
-            if restore:
-                self._rebuild(st)
+                if st.log.length and not restore:
+                    raise FleetFailed(
+                        f"shard {st.index} has {st.log.length} logged intents "
+                        f"in {self.state_dir}; pass restore=True (--restore) "
+                        f"or point the fleet at a clean state dir"
+                    )
+                st.handle = self._spawn(st.index)
+                st.status = UP
+                if restore:
+                    self._rebuild(st)
+        except BaseException:
+            # A refused start releases what it opened: the logs so far
+            # and every spawned shard (worker processes included).
+            self.close()
+            raise
         self._started = True
 
     def close(self) -> None:

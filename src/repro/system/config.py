@@ -159,3 +159,37 @@ class SystemConfig:
             parts.append(f"tp@{self.timing.rate_cycles:g}")
         parts.append(self.cpu.core_type)
         return " ".join(parts)
+
+
+#: Scheme names :func:`named_config` accepts; ``<P>`` and ``<W>`` are integers.
+KNOWN_SCHEMES = (
+    "tiny", "insecure", "rd-dup", "hd-dup", "static-<P>", "dynamic-<W>",
+)
+
+_NAMED = {
+    "tiny": SystemConfig.tiny,
+    "insecure": SystemConfig.insecure_system,
+    "rd": SystemConfig.rd_dup,
+    "rd-dup": SystemConfig.rd_dup,
+    "hd": SystemConfig.hd_dup,
+    "hd-dup": SystemConfig.hd_dup,
+}
+_PARAMETERIZED = {"static": SystemConfig.static, "dynamic": SystemConfig.dynamic}
+
+
+def named_config(scheme: str, **overrides: object) -> SystemConfig:
+    """The configuration a scheme name selects (case-insensitive).
+
+    ``rd`` and ``hd`` are short for ``rd-dup`` and ``hd-dup``;
+    ``static-<P>`` and ``dynamic-<W>`` take the partition level and the
+    DRI counter width.  Raises :class:`ValueError` for any other name.
+    """
+    name = scheme.lower()
+    if name in _NAMED:
+        return _NAMED[name](**overrides)
+    kind, _, arg = name.partition("-")
+    if kind in _PARAMETERIZED and arg.isdigit():
+        return _PARAMETERIZED[kind](int(arg), **overrides)
+    raise ValueError(
+        f"unknown scheme {scheme!r}; known: {', '.join(KNOWN_SCHEMES)}"
+    )

@@ -274,9 +274,13 @@ def get_workload(name: str) -> Workload:
         raise KeyError(f"unknown workload {name!r}; available: {known}") from None
 
 
+#: The paper's ten SPEC CPU2006 benchmarks, in figure order.
+PAPER_WORKLOADS = (
+    "mcf", "libquantum", "omnetpp", "hmmer", "sjeng",
+    "h264ref", "namd", "astar", "bzip2", "gcc",
+)
+
+
 def workload_names() -> list[str]:
     """The paper's ten benchmarks (figure order) plus the cloud extras."""
-    return [
-        "mcf", "libquantum", "omnetpp", "hmmer", "sjeng",
-        "h264ref", "namd", "astar", "bzip2", "gcc", "zipf", "tenants",
-    ]
+    return [*PAPER_WORKLOADS, "zipf", "tenants"]

@@ -215,6 +215,42 @@ class TestShardedServing:
 
         run(main())
 
+    def test_digest_waits_off_the_loop_while_the_lock_is_held(self, tmp_path):
+        # The fleet digest needs the supervisor lock.  While another
+        # thread holds it, only the digest reply may wait: a health
+        # probe sent after it on another connection is answered first.
+        async def main():
+            sup = make_supervisor(tmp_path)
+            server = make_server(sup, heartbeat_s=0.0)
+            await server.start()
+            digester = await Client.connect(server)
+            prober = await Client.connect(server)
+            assert (await digester.req(0, 1))["status"] == protocol.STATUS_OK
+            held, release = threading.Event(), threading.Event()
+            holder = hold_lock(sup._lock, held, release, timeout_s=3.0)
+            try:
+                start = time.monotonic()
+                await send(digester, {"type": "digest"})
+                await asyncio.sleep(0.05)
+                await send(prober, {"type": "health"})
+                health = protocol.decode(await prober.reader.readline())
+                elapsed = time.monotonic() - start
+            finally:
+                release.set()
+                holder.join(5)
+            assert not holder.is_alive()
+            assert health["type"] == "health"
+            assert elapsed < 1.0, f"health waited {elapsed:.2f} s behind digest"
+            digest = protocol.decode(await digester.reader.readline())
+            assert digest == {"type": "digest", "digest": sup.state_digest(),
+                              "served": sup.served}
+            assert sup.served == 1
+            await digester.close()
+            await prober.close()
+            await drain_and_stop(server)
+
+        run(main())
+
 
 class PipeFleetStub:
     """Just enough of a process-housed fleet for the dispatch rule."""
@@ -485,6 +521,7 @@ class TestUnrecoverableFleet:
                 await asyncio.sleep(0.05)
             await asyncio.wait_for(server._drained.wait(), 20)
             await server._shutdown()
+            await client.close()
             assert server.crashed is not None
             assert "respawn budget" in str(server.crashed)
             # run() maps a crashed fleet to the serve-failed exit code.

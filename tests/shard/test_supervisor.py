@@ -85,6 +85,32 @@ class TestCleanFleet:
         with pytest.raises(FleetFailed, match="restore"):
             make_sup(tmp_path)
 
+    def test_refused_start_releases_inproc_shards(self, tmp_path):
+        sup = refused_start(tmp_path)
+        assert [st.log._fh.closed for st in sup._shards] == [True] * 3
+        assert [st.handle.alive for st in sup._shards[:2]] == [False] * 2
+
+
+def refused_start(state_dir, **kw):
+    """A fleet whose start meets a stale intent log at its last shard.
+
+    Returns the refused supervisor: the lower shards had opened their
+    logs and spawned their handles before the refusal.
+    """
+    sup = make_sup(state_dir, **kw)
+    drive(sup, 5)
+    sup.close()
+    for k in (0, 1):
+        (state_dir / f"shard-{k}" / "intents.log").unlink()
+    kw.setdefault("checkpoint_every", 16)
+    fresh = ShardSupervisor(
+        small_config(), seed=SEED, state_dir=state_dir,
+        settings=ShardSettings(num_shards=3, **kw),
+    )
+    with pytest.raises(FleetFailed, match="shard 2 has .* logged intents"):
+        fresh.start()
+    return fresh
+
 
 class TestCrashRecovery:
     def test_deny_mode_recovery_is_bit_identical(self, tmp_path):
@@ -239,6 +265,12 @@ class TestProcessMode:
         assert crashed.shard_digests() == clean.shard_digests()
         clean.close()
         crashed.close()
+
+    def test_refused_start_stops_spawned_workers(self, tmp_path):
+        sup = refused_start(tmp_path, mode="process")
+        assert [st.log._fh.closed for st in sup._shards] == [True] * 3
+        workers = [st.handle._proc for st in sup._shards[:2]]
+        assert [proc.is_alive() for proc in workers] == [False] * 2
 
 
 class TestObservability:

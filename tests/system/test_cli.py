@@ -31,6 +31,8 @@ class TestBuildConfig:
     def test_unknown_scheme_exits(self):
         with pytest.raises(SystemExit):
             build_config(self._args(scheme="quantum"))
+        with pytest.raises(SystemExit, match="unknown scheme 'static-x'"):
+            build_config(self._args(scheme="static-x"))
 
     def test_flags_propagate(self):
         cfg = build_config(
