@@ -10,7 +10,6 @@ from repro.analysis.engine import (
 )
 from repro.analysis.report import format_table, print_table
 from repro.analysis.stats import geometric_mean, intervals, mean, percentile, stdev
-from repro.analysis.sweep import run_sweep
 
 __all__ = [
     "ResultCache",
@@ -25,6 +24,5 @@ __all__ = [
     "mean",
     "percentile",
     "print_table",
-    "run_sweep",
     "stdev",
 ]

@@ -32,24 +32,27 @@ points
   :class:`~repro.obs.events.SweepPointFailed` events on an optional
   :class:`~repro.obs.events.EventBus` (finish/fail events fire at
   *resolution* time, so live progress subscribers see the sweep as it
-  runs), ``sweep/*`` metrics counters, and a per-point progress hook
-  invoked in deterministic grid order after the sweep completes;
-* **with cross-process telemetry** (``telemetry=True``) — every worker
-  execution runs under its own bus + metrics collector, ships a registry
-  snapshot back with its result, and the runner merges the snapshots
-  into the parent registry (per-worker ``worker/<n>/...`` instruments
-  plus rollups; see :mod:`repro.obs.aggregate`), so a parallel sweep's
-  rollup counters are bit-identical to a serial run's and retried
-  points are counted exactly once.
+  runs) and ``sweep/*`` metrics counters;
+* **with cross-process telemetry** whenever a metrics registry is given
+  — every attempt runs under its own bus + metrics collector, ships a
+  registry snapshot back with its result, and the runner merges the
+  snapshots into the registry (per-worker ``worker/<n>/...``
+  instruments plus rollups; see :mod:`repro.obs.aggregate`), so a
+  parallel sweep's rollup counters are bit-identical to a serial run's
+  and retried points are counted exactly once.
 
-Deterministic fault injection (:mod:`repro.faults`) threads through the
-same seams: a :class:`~repro.faults.injector.FaultPlan` handed to the
-runner is shipped inside each worker job and applied to the cache and
-the simulator backend, so the failure sequence — and the final report —
-is a pure function of (grid, plan, seed).
+One function runs a point: :func:`_execute_job`.  Worker processes call
+it as the pool's target; the serial path, the no-pool fallback and the
+re-execution of in-flight points after a ``BrokenProcessPool`` call it
+in-process.  Deterministic fault injection (:mod:`repro.faults`) rides in
+the job: a :class:`~repro.faults.injector.FaultPlan` handed to the runner
+is shipped inside each job and compiled into a fresh injector per
+attempt, so the failure sequence — and the final report — is a pure
+function of (grid, plan, seed) and the same at any ``jobs``.  The parent
+keeps one injector only to wrap the result cache, which lives there.
 
-``repro.analysis.sweep.run_sweep``, ``benchmarks/_support.py`` and the
-``python -m repro sweep`` CLI are all thin layers over this module; so is
+``benchmarks/_support.py`` and the ``python -m repro sweep`` /
+``compare`` / ``faults`` CLI commands all drive this module; so would
 any future scaling work (sharded grids, multi-host dispatch), which only
 needs to replace the executor.
 """
@@ -65,11 +68,11 @@ from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from repro.analysis.cache import ResultCache
 from repro.analysis.manifest import SweepLedger, grid_fingerprint
-from repro.faults.injector import FaultInjector, FaultPlan
+from repro.faults.injector import FaultPlan
 from repro.obs.aggregate import TelemetryAggregator, snapshot_registry
 from repro.obs.events import (
     EventBus,
@@ -84,8 +87,6 @@ from repro.system.backend import BackendFilter
 from repro.system.config import SystemConfig
 from repro.system.metrics import NormalizedResult, SimulationResult, geomean
 from repro.system.simulator import simulate
-
-ProgressHook = Callable[[str, str, SimulationResult], None]
 
 # Per-point terminal statuses (SweepReport / SweepPointFailed.status).
 STATUS_OK = "ok"
@@ -158,7 +159,7 @@ def execute_point(
     backend_filter: BackendFilter | None = None,
     bus: EventBus | None = None,
 ) -> SimulationResult:
-    """Run one grid point in-process (the serial execution path)."""
+    """Simulate one grid point in the calling process."""
     return simulate(
         point.config,
         point.workload,
@@ -170,15 +171,21 @@ def execute_point(
     )
 
 
-def _execute_job(job: dict[str, object]) -> dict[str, object]:
-    """Worker-process entry point: dict in, dict out (picklable both ways).
+def _execute_job(
+    job: dict[str, object], in_worker: bool = True
+) -> dict[str, object]:
+    """Run one attempt of one grid point: dict in, dict out.
 
-    When the job carries a fault plan, the worker rebuilds the injector
-    (``in_worker=True``) and fires point-level faults before simulating —
-    this is where ``worker-crash``/``worker-hang`` specs actually crash
-    and hang real worker processes.
+    The only code that runs a point.  Worker processes call it as the
+    pool's target; the runner calls it in-process with
+    ``in_worker=False`` for serial sweeps, the no-pool fallback and the
+    re-execution after a ``BrokenProcessPool``.  Every call builds its
+    own fault injector from the job's plan and fires point-level faults
+    before simulating — in a worker, an exit-mode ``worker-crash`` kills
+    the process — so per-access ordinals count per attempt wherever it
+    runs.
 
-    With ``telemetry`` set, the worker attaches its own event bus and
+    With ``telemetry`` set, the attempt runs under its own event bus and
     metrics collector and ships a registry snapshot back in the payload,
     so the parent can aggregate per-worker instruments (events never
     cross the process boundary, snapshots do).
@@ -187,21 +194,17 @@ def _execute_job(job: dict[str, object]) -> dict[str, object]:
     backend_filter: BackendFilter | None = None
     faults = job.get("faults")
     if faults:
-        injector = FaultPlan.from_dict(faults).injector(in_worker=True)
-        injector.before_point(
-            int(job.get("index", 0)), int(job.get("attempt", 1))
-        )
+        injector = FaultPlan.from_dict(faults).injector(in_worker=in_worker)
+        injector.before_point(int(job["index"]), int(job["attempt"]))
         backend_filter = injector.backend_filter()
     bus: EventBus | None = None
     collector: MetricsCollector | None = None
     if job.get("telemetry"):
         bus = EventBus()
         collector = MetricsCollector(bus)
-    point = SweepPoint.from_job(job)
-    if bus is not None:
-        result = execute_point(point, backend_filter=backend_filter, bus=bus)
-    else:
-        result = execute_point(point, backend_filter=backend_filter)
+    result = execute_point(
+        SweepPoint.from_job(job), backend_filter=backend_filter, bus=bus
+    )
     payload: dict[str, object] = {
         "result": result.to_dict(),
         "elapsed_s": perf_counter() - start,
@@ -344,26 +347,6 @@ class SweepReport:
             head += "; interrupted"
         return head
 
-    def to_dict(self) -> dict[str, object]:
-        return {
-            "total": self.total,
-            "interrupted": self.interrupted,
-            "pool_respawns": self.pool_respawns,
-            "counts": self.counts(),
-            "points": [
-                {
-                    "index": p.index,
-                    "workload": p.workload,
-                    "scheme": p.scheme,
-                    "status": p.status,
-                    "attempts": p.attempts,
-                    "elapsed_s": p.elapsed_s,
-                    "error": p.error,
-                }
-                for p in self.points
-            ],
-        }
-
 
 class SweepExecutionError(RuntimeError):
     """Raised (under ``on_failure="raise"``) when grid points failed."""
@@ -408,21 +391,27 @@ class _PointOutcome:
     elapsed_s: float
     error: str | None = None
     resumed: bool = False
+    telemetry: dict[str, object] | None = None
+    worker: object = "0"
 
     @property
     def cached(self) -> bool:
         return self.status == STATUS_CACHED
 
-
-@dataclass(slots=True)
-class _ExecOutcome:
-    result: SimulationResult | None
-    status: str
-    attempts: int
-    elapsed_s: float
-    error: str | None = None
-    telemetry: dict[str, object] | None = None
-    worker: str = "0"
+    @classmethod
+    def succeeded(
+        cls, point: SweepPoint, attempt: int, payload: dict[str, object]
+    ) -> "_PointOutcome":
+        """The outcome of a successful :func:`_execute_job` attempt."""
+        return cls(
+            point,
+            SimulationResult.from_dict(payload["result"]),
+            STATUS_RETRIED if attempt > 1 else STATUS_OK,
+            attempt,
+            payload["elapsed_s"],
+            telemetry=payload.get("telemetry"),
+            worker=payload.get("worker", "0"),
+        )
 
 
 def _abandon_pool(pool: ProcessPoolExecutor) -> None:
@@ -449,6 +438,11 @@ class SweepRunner:
     """Executes sweep grids with parallelism, caching, fault tolerance
     and observability.
 
+    Every attempt at a point, in a worker or in-process, runs
+    :func:`_execute_job` with its own fault injector, bus and collector,
+    so a serial sweep's results, report and telemetry rollups equal a
+    parallel one's.
+
     Args:
         jobs: Worker processes.  ``1`` runs everything serially in
             process; ``None`` or ``0`` means one worker per CPU.  The
@@ -456,39 +450,37 @@ class SweepRunner:
             the cause) if the platform cannot spawn a process pool.
         cache: On-disk result cache, or ``None`` to always simulate.
         bus: Observability bus for per-point start/finish/retry/fail
-            events.
+            events (``SweepPointFinished`` is the progress channel).
         registry: Metrics registry; the runner maintains ``sweep/points``,
             ``sweep/cache_hits``, ``sweep/cache_misses``,
             ``sweep/executed``, ``sweep/retries``, ``sweep/timeouts``,
             ``sweep/failed``, ``sweep/resumed``, ``sweep/pool_respawns``
-            and ``cache/put_errors`` counters on it.
-        hook: Per-point progress callback ``(workload, scheme, result)``,
-            invoked in deterministic grid order (skipped for points
-            without a result).
+            and ``cache/put_errors`` counters on it.  Giving one also
+            turns on telemetry: every attempt collects simulator metrics
+            under its own bus + collector, and the runner merges the
+            snapshots into ``registry`` at the end of the run —
+            per-worker instruments under ``worker/<n>/...`` plus
+            un-prefixed rollups.  Rollups are the same at any ``jobs``;
+            retried points count once (last successful attempt wins).
         timeout_s: Per-point wall-clock budget, enforced on the parallel
             path (a worker past its deadline is abandoned with the pool
             and the point retried or reported ``timed-out``).  ``None``
-            disables; the serial in-process path cannot preempt a running
+            disables; the in-process path cannot preempt a running
             simulation and ignores it.
-        retries: Extra attempts per point after a failed one (crash,
-            worker death, timeout).  ``0`` fails fast.
+        retries: Extra attempts per point: a failed attempt *n* (crash,
+            job exception, timeout) is retried while ``n <= retries``.
+            ``0`` fails fast.  In-flight points lost with a broken pool
+            always get one more attempt, in-process.
         backoff_s: Base of the exponential retry backoff — attempt *n*
-            waits ``backoff_s * 2**(n-1)`` seconds.  ``0`` disables.
+            waits ``backoff_s * 2**(n-1)`` seconds before its retry
+            (timeouts retry at once).  ``0`` disables.
         ledger: Optional completed-point ledger enabling checkpoint /
             resume; pair with ``resume=True`` to pick up a previous run.
         resume: Load ``ledger`` instead of truncating it; points it
             records resolve from the cache with zero re-execution
             (counted by ``sweep/resumed``).
         faults: Deterministic fault-injection plan (:mod:`repro.faults`),
-            shipped to workers inside each job.
-        telemetry: Collect per-point simulator metrics (a worker-local
-            bus + collector per execution, snapshot shipped back with the
-            result) and merge them into ``registry`` at the end of the
-            run: per-worker instruments under ``worker/<n>/...`` plus
-            un-prefixed cross-worker rollups.  Rollups of a parallel
-            sweep are bit-identical to a serial one; retried points
-            count once (last successful attempt wins).  Requires
-            ``registry``.
+            shipped inside each job.
         on_failure: ``"raise"`` (default) raises
             :class:`SweepExecutionError` if any point fails —
             the historical all-or-nothing contract the figure benchmarks
@@ -503,14 +495,12 @@ class SweepRunner:
         cache: ResultCache | None = None,
         bus: EventBus | None = None,
         registry: MetricsRegistry | None = None,
-        hook: ProgressHook | None = None,
         timeout_s: float | None = None,
         retries: int = 0,
         backoff_s: float = 0.0,
         ledger: SweepLedger | None = None,
         resume: bool = False,
         faults: FaultPlan | None = None,
-        telemetry: bool = False,
         on_failure: str = "raise",
     ) -> None:
         if jobs is None or jobs <= 0:
@@ -525,16 +515,12 @@ class SweepRunner:
         self.cache = cache
         self.bus = bus
         self.registry = registry
-        self.hook = hook
         self.timeout_s = timeout_s
         self.retries = retries
         self.backoff_s = backoff_s
-        if telemetry and registry is None:
-            raise ValueError("telemetry=True requires a metrics registry")
         self.ledger = ledger
         self.resume = resume
         self.faults = faults
-        self.telemetry = telemetry
         self.on_failure = on_failure
         self.last_report: SweepReport | None = None
         self._grid_total = 0
@@ -561,18 +547,15 @@ class SweepRunner:
         self._pool_respawns = 0
         outcomes: list[_PointOutcome | None] = [None] * total
 
-        injector = (
-            self.faults.injector(in_worker=False)
-            if self.faults is not None
-            else None
-        )
         cache = (
-            injector.wrap_cache(self.cache)
-            if injector is not None
+            self.faults.injector(in_worker=False).wrap_cache(self.cache)
+            if self.faults is not None
             else self.cache
         )
         resumed = self._prepare_ledger(points, total)
-        aggregator = TelemetryAggregator() if self.telemetry else None
+        aggregator = (
+            TelemetryAggregator() if self.registry is not None else None
+        )
 
         interrupted = False
         try:
@@ -595,29 +578,19 @@ class SweepRunner:
                 else:
                     pending.append(i)
 
-            for i, exec_outcome in self._execute(points, pending, injector):
-                outcomes[i] = _PointOutcome(
-                    points[i],
-                    exec_outcome.result,
-                    exec_outcome.status,
-                    exec_outcome.attempts,
-                    exec_outcome.elapsed_s,
-                    exec_outcome.error,
-                )
-                if exec_outcome.result is not None:
-                    self._store(cache, points[i], exec_outcome.result)
-                    self._record_ledger(i, points[i], exec_outcome.status)
-                    if (
-                        aggregator is not None
-                        and exec_outcome.telemetry is not None
-                    ):
+            for i, outcome in self._execute(points, pending):
+                outcomes[i] = outcome
+                if outcome.result is not None:
+                    self._store(cache, points[i], outcome.result)
+                    self._record_ledger(i, points[i], outcome.status)
+                    if aggregator is not None:
                         aggregator.ingest(
                             points[i].cache_key(),
-                            exec_outcome.telemetry,
-                            worker=exec_outcome.worker,
-                            attempt=exec_outcome.attempts,
+                            outcome.telemetry,
+                            worker=outcome.worker,
+                            attempt=outcome.attempts,
                         )
-                self._emit_finished(outcomes[i], i, total)
+                self._emit_finished(outcome, i, total)
         except KeyboardInterrupt:
             # Pending futures were cancelled and workers stopped by the
             # executor generator's cleanup; completed points are already
@@ -636,7 +609,7 @@ class SweepRunner:
                 )
                 self._emit_finished(outcomes[i], i, total)
 
-        if aggregator is not None and self.registry is not None:
+        if aggregator is not None:
             merged = aggregator.merge_into(self.registry)
             if merged:
                 self.registry.counter("sweep/telemetry/snapshots").inc(merged)
@@ -648,14 +621,7 @@ class SweepRunner:
             total=total,
             interrupted=interrupted,
             pool_respawns=self._pool_respawns,
-        )
-        results: list[SimulationResult | None] = []
-        for i, outcome in enumerate(outcomes):
-            assert outcome is not None, f"point {i} never resolved"
-            if self.hook is not None and outcome.result is not None:
-                self.hook(outcome.point.workload, outcome.point.scheme,
-                          outcome.result)
-            report.points.append(
+            points=[
                 PointReport(
                     index=i,
                     workload=outcome.point.workload,
@@ -665,8 +631,10 @@ class SweepRunner:
                     elapsed_s=outcome.elapsed_s,
                     error=outcome.error,
                 )
-            )
-            results.append(outcome.result)
+                for i, outcome in enumerate(outcomes)
+            ],
+        )
+        results = [outcome.result for outcome in outcomes]
         self.last_report = report
         if interrupted:
             raise SweepInterrupted(report, results)
@@ -695,98 +663,39 @@ class SweepRunner:
         )
 
     # ------------------------------------------------------------------
-    # Execution strategies
+    # Execution
     # ------------------------------------------------------------------
     def _execute(
-        self,
-        points: Sequence[SweepPoint],
-        pending: list[int],
-        injector: FaultInjector | None,
-    ) -> Iterator[tuple[int, _ExecOutcome]]:
-        if not pending:
-            return
-        if self.jobs > 1 and len(pending) > 1:
-            workers = min(self.jobs, len(pending))
-            pool = self._make_pool(workers)
-            if pool is not None:
-                yield from self._execute_parallel(
-                    pool, workers, points, pending, injector
-                )
-                return
-        yield from self._execute_serial(points, pending, injector)
+        self, points: Sequence[SweepPoint], pending: list[int]
+    ) -> Iterator[tuple[int, _PointOutcome]]:
+        workers = min(self.jobs, len(pending))
+        pool = self._make_pool(workers) if workers > 1 else None
+        if pool is None:
+            for i in pending:
+                yield i, self._run_inprocess(points[i], i, 1)
+        else:
+            yield from self._execute_parallel(pool, workers, points, pending)
 
-    def _execute_serial(
-        self,
-        points: Sequence[SweepPoint],
-        pending: list[int],
-        injector: FaultInjector | None,
-    ) -> Iterator[tuple[int, _ExecOutcome]]:
-        for i in pending:
-            yield i, self._run_attempts_inprocess(points[i], i, injector)
-
-    def _run_attempts_inprocess(
-        self,
-        point: SweepPoint,
-        index: int,
-        injector: FaultInjector | None,
-        first_attempt: int = 1,
-        budget: int | None = None,
-    ) -> _ExecOutcome:
-        """Retry loop for in-process execution (serial path and the
-        post-``BrokenProcessPool`` re-execution of in-flight points)."""
-        if budget is None:
-            budget = max(self.retries + 1 - (first_attempt - 1), 1)
-        attempt = first_attempt
-        failures = first_attempt - 1
-        last_error: str | None = None
+    def _run_inprocess(
+        self, point: SweepPoint, index: int, attempt: int
+    ) -> _PointOutcome:
+        """Run ``point`` in this process from ``attempt`` on, retrying
+        failed attempts under :meth:`_retry`."""
         while True:
-            start = perf_counter()
-            bus: EventBus | None = None
-            collector: MetricsCollector | None = None
-            if self.telemetry:
-                bus = EventBus()
-                collector = MetricsCollector(bus)
+            job = self._job(point, index, attempt)
             try:
-                backend_filter: BackendFilter | None = None
-                if injector is not None:
-                    injector.before_point(index, attempt)
-                    backend_filter = injector.backend_filter()
-                if bus is not None:
-                    result = execute_point(
-                        point, backend_filter=backend_filter, bus=bus
-                    )
-                else:
-                    result = execute_point(point, backend_filter=backend_filter)
+                payload = _execute_job(job, in_worker=False)
             except KeyboardInterrupt:
                 raise
             except Exception as exc:
-                last_error = repr(exc)
-                failures += 1
-                if attempt - first_attempt + 1 < budget:
-                    self._note_retry(point, index, attempt, last_error)
-                    self._sleep_backoff(failures)
+                error = repr(exc)
+                if self._retry(point, index, attempt, error):
                     attempt += 1
                     continue
-                return _ExecOutcome(
-                    None,
-                    STATUS_FAILED,
-                    attempt,
-                    perf_counter() - start,
-                    last_error,
+                return _PointOutcome(
+                    point, None, STATUS_FAILED, attempt, 0.0, error
                 )
-            return _ExecOutcome(
-                result,
-                STATUS_RETRIED if failures else STATUS_OK,
-                attempt,
-                perf_counter() - start,
-                last_error,
-                telemetry=(
-                    snapshot_registry(collector.registry)
-                    if collector is not None
-                    else None
-                ),
-                worker=str(os.getpid()),
-            )
+            return _PointOutcome.succeeded(point, attempt, payload)
 
     def _execute_parallel(
         self,
@@ -794,33 +703,30 @@ class SweepRunner:
         workers: int,
         points: Sequence[SweepPoint],
         pending: list[int],
-        injector: FaultInjector | None,
-    ) -> Iterator[tuple[int, _ExecOutcome]]:
+    ) -> Iterator[tuple[int, _PointOutcome]]:
         """Fan pending points out to worker processes, fault-tolerantly.
 
         Yields per-point outcomes as their futures resolve (submission
         order).  Failure handling:
 
         * a job exception consumes one attempt; the point is retried
-          (with backoff) while budget remains, else reported ``failed``;
+          (with backoff) under :meth:`_retry`, else reported ``failed``;
         * a per-point timeout abandons the pool (the hung worker cannot
-          be cancelled), respawns it, retries the hung point and
-          resubmits the other in-flight points without charging them an
-          attempt;
+          be cancelled), respawns it, retries the hung point without
+          backoff and resubmits the other in-flight points without
+          charging them an attempt;
         * ``BrokenProcessPool`` (a worker died) respawns the pool and
-          re-executes every in-flight point serially in-process — each is
+          re-executes every in-flight point in-process — each is
           guaranteed at least one more attempt, so one crashed worker
           cannot sink its innocent batch-mates.
         """
         attempts = {i: 0 for i in pending}
         queue: deque[int] = deque(pending)
 
-        def drain_inprocess() -> Iterator[tuple[int, _ExecOutcome]]:
+        def drain_inprocess() -> Iterator[tuple[int, _PointOutcome]]:
             while queue:
                 j = queue.popleft()
-                yield j, self._run_attempts_inprocess(
-                    points[j], j, injector, first_attempt=attempts[j] + 1
-                )
+                yield j, self._run_inprocess(points[j], j, attempts[j] + 1)
 
         try:
             while queue:
@@ -848,13 +754,13 @@ class SweepRunner:
                         for j, _lost in futures[pos + 1:]:
                             attempts[j] -= 1
                             queue.append(j)
-                        if attempts[i] <= self.retries:
-                            self._note_retry(
-                                points[i], i, attempts[i], "timeout"
-                            )
+                        if self._retry(
+                            points[i], i, attempts[i], "timeout", backoff=False
+                        ):
                             queue.append(i)
                         else:
-                            yield i, _ExecOutcome(
+                            yield i, _PointOutcome(
+                                points[i],
                                 None,
                                 STATUS_TIMEOUT,
                                 attempts[i],
@@ -873,11 +779,8 @@ class SweepRunner:
                             "worker process died (BrokenProcessPool)",
                         )
                         for j, _lost in futures[pos:]:
-                            yield j, self._run_attempts_inprocess(
-                                points[j],
-                                j,
-                                injector,
-                                first_attempt=attempts[j] + 1,
+                            yield j, self._run_inprocess(
+                                points[j], j, attempts[j] + 1
                             )
                         if pool is None:
                             yield from drain_inprocess()
@@ -887,12 +790,11 @@ class SweepRunner:
                         raise
                     except Exception as exc:
                         error = repr(exc)
-                        if attempts[i] <= self.retries:
-                            self._note_retry(points[i], i, attempts[i], error)
-                            self._sleep_backoff(attempts[i])
+                        if self._retry(points[i], i, attempts[i], error):
                             queue.append(i)
                         else:
-                            yield i, _ExecOutcome(
+                            yield i, _PointOutcome(
+                                points[i],
                                 None,
                                 STATUS_FAILED,
                                 attempts[i],
@@ -900,14 +802,8 @@ class SweepRunner:
                                 error,
                             )
                     else:
-                        failed_before = attempts[i] - 1
-                        yield i, _ExecOutcome(
-                            SimulationResult.from_dict(payload["result"]),
-                            STATUS_RETRIED if failed_before else STATUS_OK,
-                            attempts[i],
-                            payload["elapsed_s"],
-                            telemetry=payload.get("telemetry"),
-                            worker=str(payload.get("worker", "0")),
+                        yield i, _PointOutcome.succeeded(
+                            points[i], attempts[i], payload
                         )
         except (GeneratorExit, KeyboardInterrupt):
             if pool is not None:
@@ -918,6 +814,24 @@ class SweepRunner:
             if pool is not None:
                 pool.shutdown(wait=False, cancel_futures=True)
 
+    def _retry(
+        self,
+        point: SweepPoint,
+        index: int,
+        attempt: int,
+        error: str,
+        backoff: bool = True,
+    ) -> bool:
+        """The one retry rule: failed attempt ``attempt`` is retried while
+        ``attempt <= retries``; a retry is counted and announced, then
+        waits out the backoff (timeouts pass ``backoff=False``)."""
+        if attempt > self.retries:
+            return False
+        self._note_retry(point, index, attempt, error)
+        if backoff:
+            self._sleep_backoff(attempt)
+        return True
+
     def _job(
         self, point: SweepPoint, index: int, attempt: int
     ) -> dict[str, object]:
@@ -926,7 +840,7 @@ class SweepRunner:
         job["attempt"] = attempt
         if self.faults is not None:
             job["faults"] = self.faults.to_dict()
-        if self.telemetry:
+        if self.registry is not None:
             job["telemetry"] = True
         return job
 
@@ -1048,8 +962,7 @@ class SweepRunner:
         Called at *resolution* time (cache hit, future completion, or
         interrupt accounting), so bus subscribers — the CLI's live
         progress line, the JSONL progress stream — see points as they
-        finish, in completion order.  The per-point ``hook`` still runs
-        in deterministic grid order after the sweep completes.
+        finish, in completion order.
         """
         point = outcome.point
         failed = outcome.status in FAILURE_STATUSES

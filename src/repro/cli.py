@@ -235,17 +235,16 @@ def cmd_profile(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    schemes = ["insecure", "tiny", "rd-dup", "hd-dup", f"dynamic-{args.width}"]
+    args.schemes = f"insecure,tiny,rd-dup,hd-dup,dynamic-{args.width}"
+    configs = _build_sweep_configs(args)
+    sweep = SweepRunner(jobs=1).run_grid(
+        configs, [args.workload], args.requests, seed=args.seed
+    )
     rows = []
     tiny_total = None
-    for scheme in schemes:
-        sub = argparse.Namespace(**vars(args))
-        sub.scheme = scheme
-        if scheme == "insecure":
-            sub.timing_protection = False
-        result = simulate(build_config(sub), args.workload,
-                          num_requests=args.requests, seed=args.seed)
-        if scheme == "tiny":
+    for config in configs:
+        result = sweep.get(args.workload, config.name)
+        if config.name == "Tiny":
             tiny_total = result.total_cycles
         speedup = tiny_total / result.total_cycles if tiny_total else float("nan")
         rows.append([
@@ -368,7 +367,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         cache=cache,
         bus=bus,
         registry=registry,
-        telemetry=registry is not None,
         timeout_s=args.timeout,
         retries=args.retries,
         backoff_s=args.backoff,
@@ -453,10 +451,7 @@ def cmd_faults(args: argparse.Namespace) -> int:
         return 0
     if not args.inject:
         raise SystemExit("nothing to do: pass --list or --inject SPEC")
-    try:
-        plan = FaultPlan.parse(args.inject, seed=args.fault_seed)
-    except FaultSpecError as exc:
-        raise SystemExit(f"bad --inject spec: {exc}")
+    plan = _parse_fault_plan(args)
 
     # Corruption specs only make sense with the integrity layer watching:
     # auto-arm it so `faults --inject bit-flip:...` detects and (under the
@@ -472,9 +467,6 @@ def cmd_faults(args: argparse.Namespace) -> int:
     workloads = _parse_workloads(args.workloads)
     configs = _build_sweep_configs(args)
     cache = None if args.no_cache else ResultCache(args.cache_dir)
-    print(f"fault plan (seed {plan.seed}):")
-    for spec in plan.specs:
-        print(f"  {spec.to_dict()}")
 
     runner = SweepRunner(
         jobs=args.jobs,
@@ -655,8 +647,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_fault_plan(args: argparse.Namespace):
-    """``--inject`` specs → injector (or ``None`` without specs)."""
+def _parse_fault_plan(args: argparse.Namespace) -> FaultPlan | None:
+    """``--inject`` specs → printed plan (or ``None`` without specs)."""
     if not args.inject:
         return None
     try:
@@ -666,7 +658,7 @@ def _parse_fault_plan(args: argparse.Namespace):
     print(f"fault plan (seed {plan.seed}):")
     for spec in plan.specs:
         print(f"  {spec.to_dict()}")
-    return plan.injector(in_worker=False)
+    return plan
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
@@ -676,7 +668,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
     sharded = args.shards > 1
     if args.restore and not (args.checkpoint_dir or sharded):
         raise SystemExit("--restore needs --checkpoint-dir (or --shards)")
-    injector = _parse_fault_plan(args)
+    plan = _parse_fault_plan(args)
+    injector = plan.injector(in_worker=False) if plan is not None else None
     checkpointer = (
         Checkpointer(args.checkpoint_dir)
         if args.checkpoint_dir and not sharded else None
@@ -837,7 +830,8 @@ def cmd_load(args: argparse.Namespace) -> int:
 
     from repro.serve import LoadSettings, run_load
 
-    injector = _parse_fault_plan(args)
+    plan = _parse_fault_plan(args)
+    injector = plan.injector(in_worker=False) if plan is not None else None
     settings = LoadSettings(
         host=args.host,
         port=args.port,

@@ -3,9 +3,10 @@
 A :class:`FaultPlan` (specs + seed) compiles into a :class:`FaultInjector`
 that hooks the three seams the sweep stack already exposes:
 
-* **point execution** (``SweepRunner`` serial path and the worker-process
-  ``_execute_job``) — :meth:`FaultInjector.before_point` fires
-  ``worker-crash`` / ``worker-hang`` specs keyed on *(point, attempt)*;
+* **point execution** (``_execute_job``, which runs every attempt at a
+  sweep point, in a worker process or in-process, with an injector of
+  its own) — :meth:`FaultInjector.before_point` fires ``worker-crash`` /
+  ``worker-hang`` specs keyed on *(point, attempt)*;
 * **the result cache** — :meth:`FaultInjector.wrap_cache` corrupts entry
   files before reads (``cache-corrupt``) and installs an ``OSError``
   hook inside :meth:`~repro.analysis.cache.ResultCache.put`
@@ -170,7 +171,7 @@ class FaultInjector:
         return list(self.log)
 
     # ------------------------------------------------------------------
-    # Seam 1: point execution (serial path + _execute_job)
+    # Seam 1: point execution (_execute_job, every attempt)
     # ------------------------------------------------------------------
     def before_point(self, index: int, attempt: int) -> None:
         """Fire crash/hang specs scheduled for this (point, attempt)."""

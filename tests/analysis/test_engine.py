@@ -9,7 +9,6 @@ from repro.analysis.engine import (
     build_grid,
     execute_point,
 )
-from repro.analysis.sweep import run_sweep
 from repro.obs.events import EventBus, SweepPointFinished, SweepPointStarted
 from repro.obs.metrics import MetricsRegistry
 from repro.oram.config import OramConfig
@@ -60,39 +59,31 @@ class TestSweepPoint:
 
 class TestParallelEqualsSerial:
     def test_jobs4_matches_jobs1_on_2x3_grid(self):
-        serial = run_sweep(grid_configs(), WORKLOADS, 1500, seed=1, jobs=1)
-        parallel = run_sweep(grid_configs(), WORKLOADS, 1500, seed=1, jobs=4)
+        serial = SweepRunner(jobs=1).run_grid(
+            grid_configs(), WORKLOADS, 1500, seed=1
+        )
+        parallel = SweepRunner(jobs=4).run_grid(
+            grid_configs(), WORKLOADS, 1500, seed=1
+        )
         assert serial.results.keys() == parallel.results.keys()
         for key in serial.results:
             assert (
                 parallel.results[key].to_dict() == serial.results[key].to_dict()
             ), key
 
-    def test_parallel_hooks_fire_in_grid_order(self):
-        calls = []
-        run_sweep(
-            grid_configs(),
-            WORKLOADS,
-            1000,
-            seed=1,
-            jobs=4,
-            hook=lambda w, s, r: calls.append((w, s)),
-        )
-        points = build_grid(grid_configs(), WORKLOADS, 1000, seed=1)
-        assert calls == [(p.workload, p.scheme) for p in points]
-
 
 class TestCaching:
     def test_warm_sweep_runs_zero_simulations(self, tmp_path, monkeypatch):
         cache = ResultCache(tmp_path / "cache")
-        cold = run_sweep(grid_configs(), WORKLOADS, 1500, seed=1, cache=cache)
+        runner = SweepRunner(cache=cache)
+        cold = runner.run_grid(grid_configs(), WORKLOADS, 1500, seed=1)
         assert cache.misses == 6 and cache.stores == 6 and cache.hits == 0
 
         def boom(point):  # any simulate() call fails the test
             raise AssertionError(f"simulated {point.label} on a warm cache")
 
         monkeypatch.setattr("repro.analysis.engine.execute_point", boom)
-        warm = run_sweep(grid_configs(), WORKLOADS, 1500, seed=1, cache=cache)
+        warm = runner.run_grid(grid_configs(), WORKLOADS, 1500, seed=1)
         assert cache.hits == 6 and cache.misses == 6
         for key in cold.results:
             assert warm.results[key].to_dict() == cold.results[key].to_dict()
@@ -100,14 +91,14 @@ class TestCaching:
     def test_cache_invalidated_by_parameter_change(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
         configs = [SystemConfig.tiny(oram=SMALL)]
-        run_sweep(configs, ["mcf"], 1000, seed=1, cache=cache)
-        run_sweep(configs, ["mcf"], 1000, seed=2, cache=cache)
-        run_sweep(
+        runner = SweepRunner(cache=cache)
+        runner.run_grid(configs, ["mcf"], 1000, seed=1)
+        runner.run_grid(configs, ["mcf"], 1000, seed=2)
+        runner.run_grid(
             [SystemConfig.tiny(oram=OramConfig(levels=10))],
             ["mcf"],
             1000,
             seed=1,
-            cache=cache,
         )
         assert cache.hits == 0
         assert len(cache) == 3
@@ -115,8 +106,9 @@ class TestCaching:
     def test_partial_warm_grid_only_simulates_new_points(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
         configs = grid_configs()
-        run_sweep(configs[:2], ["mcf"], 1000, seed=1, cache=cache)
-        run_sweep(configs, ["mcf"], 1000, seed=1, cache=cache)
+        runner = SweepRunner(cache=cache)
+        runner.run_grid(configs[:2], ["mcf"], 1000, seed=1)
+        runner.run_grid(configs, ["mcf"], 1000, seed=1)
         assert cache.hits == 2
         assert cache.stores == 3
 

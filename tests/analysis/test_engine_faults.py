@@ -26,6 +26,7 @@ from repro.analysis.engine import (
 )
 from repro.analysis.manifest import SweepLedger, grid_fingerprint
 from repro.faults import (
+    BitFlip,
     CacheCorruption,
     CacheOsError,
     FaultPlan,
@@ -230,6 +231,85 @@ class TestParallelFaults:
         assert run() == run()
 
 
+def integrity_points(recovery):
+    """A 2x2 grid whose ORAMs verify every path against a Merkle tree."""
+    oram = OramConfig(levels=8, integrity=True, recovery=recovery)
+    configs = [SystemConfig.tiny(oram=oram), SystemConfig.dynamic(3, oram=oram)]
+    return build_grid(configs, ["mcf", "libquantum"], 400, seed=1)
+
+
+# Three flips that every point of the grid detects and heals.
+HEALED_FLIPS = tuple(BitFlip(at_access=a) for a in (5, 10, 15))
+
+
+def rollup(registry):
+    """The registry export minus scheduling-dependent namespaces."""
+    return {
+        section: {
+            name: value
+            for name, value in instruments.items()
+            if not name.startswith(("worker/", "sweep/"))
+        }
+        for section, instruments in registry.to_dict().items()
+    }
+
+
+def healed_rollup(jobs, extra=()):
+    registry = MetricsRegistry()
+    SweepRunner(
+        jobs=jobs, registry=registry,
+        faults=FaultPlan(specs=HEALED_FLIPS + extra),
+    ).run_points(integrity_points("recover"))
+    return rollup(registry)
+
+
+@pytest.fixture(scope="module")
+def parallel_healed_rollup():
+    return healed_rollup(jobs=2)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestSerialEqualsParallelUnderFaults:
+    """Per-access fault ordinals count per attempt on every path, so a
+    fault plan does the same to each point at any ``jobs``."""
+
+    def test_raise_policy_reports_match(self):
+        # Flips 2, 4 and 6 fail the dynamic-3 points and leave Tiny's.
+        plan = FaultPlan(specs=tuple(BitFlip(at_access=a) for a in (2, 4, 6)))
+
+        def run(jobs):
+            runner = SweepRunner(jobs=jobs, faults=plan, on_failure="report")
+            results = runner.run_points(integrity_points("raise"))
+            return (
+                [(p.status, p.attempts, p.error)
+                 for p in runner.last_report.points],
+                [r.to_dict() if r is not None else None for r in results],
+            )
+
+        serial = run(1)
+        assert {status for status, _a, _e in serial[0]} == {
+            STATUS_OK, STATUS_FAILED,
+        }
+        assert run(2) == serial
+
+    def test_recovered_flips_roll_up_alike(self, parallel_healed_rollup):
+        serial = healed_rollup(jobs=1)
+        counters = serial["counters"]
+        assert counters["oram/corruptions"] > 0
+        assert counters["oram/recoveries"] == counters["oram/corruptions"]
+        assert serial == parallel_healed_rollup
+
+    def test_broken_pool_reexecution_rolls_up_alike(
+        self, parallel_healed_rollup
+    ):
+        # The dead worker breaks the pool, so every in-flight point runs
+        # again in-process.
+        crash = (WorkerCrash(point=1, attempt=1, mode="exit"),)
+        crashed = healed_rollup(jobs=2, extra=crash)
+        assert "oram/corruptions" in crashed["counters"]
+        assert crashed == parallel_healed_rollup
+
+
 class TestCacheDegradation:
     def test_put_errors_degrade_and_count(self, tmp_path, clean_results):
         cache = ResultCache(tmp_path / "cache")
@@ -293,11 +373,11 @@ class TestInterruptAndResume:
         real = engine_mod.execute_point
         calls = {"count": 0}
 
-        def flaky(point, backend_filter=None):
+        def flaky(point, backend_filter=None, bus=None):
             calls["count"] += 1
             if calls["count"] == n:
                 raise KeyboardInterrupt
-            return real(point, backend_filter=backend_filter)
+            return real(point, backend_filter=backend_filter, bus=bus)
 
         monkeypatch.setattr(engine_mod, "execute_point", flaky)
         return calls
@@ -338,9 +418,9 @@ class TestInterruptAndResume:
         calls = {"count": 0}
         real = engine_mod.execute_point
 
-        def counting(point, backend_filter=None):
+        def counting(point, backend_filter=None, bus=None):
             calls["count"] += 1
-            return real(point, backend_filter=backend_filter)
+            return real(point, backend_filter=backend_filter, bus=bus)
 
         monkeypatch.setattr(engine_mod, "execute_point", counting)
         cache2 = ResultCache(tmp_path / "cache")

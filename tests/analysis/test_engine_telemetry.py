@@ -49,7 +49,7 @@ def rollup(registry):
 @pytest.fixture(scope="module")
 def serial():
     registry = MetricsRegistry()
-    runner = SweepRunner(jobs=1, registry=registry, telemetry=True)
+    runner = SweepRunner(jobs=1, registry=registry)
     results = runner.run_points(grid_points())
     return [r.to_dict() for r in results], rollup(registry)
 
@@ -58,14 +58,14 @@ class TestRollupIdentity:
     def test_parallel_rollup_bit_identical_to_serial(self, serial):
         serial_results, serial_rollup = serial
         registry = MetricsRegistry()
-        runner = SweepRunner(jobs=4, registry=registry, telemetry=True)
+        runner = SweepRunner(jobs=4, registry=registry)
         results = runner.run_points(grid_points())
         assert [r.to_dict() for r in results] == serial_results
         assert rollup(registry) == serial_rollup
 
     def test_parallel_export_has_per_worker_breakdown(self):
         registry = MetricsRegistry()
-        SweepRunner(jobs=2, registry=registry, telemetry=True).run_points(
+        SweepRunner(jobs=2, registry=registry).run_points(
             grid_points()
         )
         counters = registry.to_dict()["counters"]
@@ -84,7 +84,7 @@ class TestRollupIdentity:
 
     def test_telemetry_bookkeeping_instruments(self):
         registry = MetricsRegistry()
-        SweepRunner(jobs=2, registry=registry, telemetry=True).run_points(
+        SweepRunner(jobs=2, registry=registry).run_points(
             grid_points()
         )
         full = registry.to_dict()
@@ -98,7 +98,7 @@ class TestRetriedPointCountsOnce:
         plan = FaultPlan(specs=(WorkerCrash(point=1, attempt=1),))
         registry = MetricsRegistry()
         runner = SweepRunner(
-            jobs=2, registry=registry, telemetry=True,
+            jobs=2, registry=registry,
             retries=1, faults=plan,
         )
         runner.run_points(grid_points())
@@ -110,7 +110,7 @@ class TestExportStability:
     def test_export_keys_sorted_and_deterministic(self):
         def export():
             registry = MetricsRegistry()
-            SweepRunner(jobs=1, registry=registry, telemetry=True).run_points(
+            SweepRunner(jobs=1, registry=registry).run_points(
                 grid_points()
             )
             return registry.to_dict()
@@ -120,7 +120,3 @@ class TestExportStability:
         for section in ("counters", "gauges", "histograms"):
             keys = list(first[section])
             assert keys == sorted(keys)
-
-    def test_telemetry_requires_registry(self):
-        with pytest.raises(ValueError, match="registry"):
-            SweepRunner(jobs=1, telemetry=True)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis.sweep import run_sweep
+from repro.analysis.engine import SweepRunner
 from repro.oram.config import OramConfig
 from repro.system.config import SystemConfig
 
@@ -12,7 +12,7 @@ ORAM = OramConfig(levels=9, utilization=0.25)
 @pytest.fixture(scope="module")
 def sweep():
     configs = [SystemConfig.tiny(oram=ORAM), SystemConfig.dynamic(3, oram=ORAM)]
-    return run_sweep(configs, ["mcf", "sjeng"], num_requests=2500)
+    return SweepRunner().run_grid(configs, ["mcf", "sjeng"], num_requests=2500)
 
 
 class TestRunSweep:
@@ -39,13 +39,3 @@ class TestRunSweep:
         assert g.workload == "gmean"
         assert 0.3 < g.total <= 1.05
         assert g.speedup == pytest.approx(1.0 / g.total, rel=1e-6)
-
-    def test_hook_called_per_run(self):
-        calls = []
-        run_sweep(
-            [SystemConfig.tiny(oram=ORAM)],
-            ["mcf"],
-            num_requests=1000,
-            hook=lambda w, s, r: calls.append((w, s)),
-        )
-        assert calls == [("mcf", "Tiny")]

@@ -141,6 +141,7 @@ class TestMetricsEndpoint:
                         None, self.fetch, host, port, "/nope"
                     )
                 assert err.value.code == 404
+                err.value.close()
             finally:
                 await endpoint.close()
 
@@ -159,6 +160,7 @@ class TestMetricsEndpoint:
                         None, self.fetch, host, port, "/metrics"
                     )
                 assert err.value.code == 500
+                err.value.close()
             finally:
                 await endpoint.close()
 

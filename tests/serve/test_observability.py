@@ -147,6 +147,7 @@ class TestSloIntegration:
                 await ask(reader, writer,
                           {"type": "req", "id": i, "op": "read", "addr": i})
             code = await asyncio.wait_for(code_task, 20)
+            writer.close()
             assert code == EXIT_SLO_BREACH
             assert server.slo_breached
             assert server.drain_reason == "slo breach"
@@ -178,6 +179,7 @@ class TestFlightRecorderIntegration:
                 except (ConnectionError, protocol.ProtocolError):
                     break
             code = await asyncio.wait_for(code_task, 20)
+            writer.close()
             assert code != 0
             assert server.crashed is not None
             assert server.postmortem_path is not None

@@ -309,6 +309,7 @@ class TestDrain:
             assert all(
                 statuses[i] == protocol.STATUS_OK for i in range(3)
             )
+            await client.close()
             await asyncio.wait_for(server._drained.wait(), 5)
             await server._shutdown()
             stats = server.stats_snapshot()
@@ -408,6 +409,7 @@ class TestClientFailures:
             slot = first.welcome["slot"]
             await first.send({"type": "bye"})
             await asyncio.sleep(0.05)
+            await first.close()
             second = await Client.connect(server)
             assert second.welcome["slot"] == slot
             await second.close()

@@ -71,6 +71,23 @@ class TestCommands:
         with pytest.raises(SystemExit):
             make_parser().parse_args([])
 
+    def test_compare_table(self, capsys):
+        def table_rows(extra):
+            argv = ["compare", "--levels", "9", "--requests", "1500"]
+            assert main(argv + extra) == 0
+            lines = capsys.readouterr().out.splitlines()
+            assert lines[0] == "Scheme comparison on h264ref"
+            # Title, rule, header, separator, then one row per scheme.
+            return [line.split() for line in lines[4:]]
+
+        protected = table_rows(["--timing-protection"])
+        assert [row[0] for row in protected] == [
+            "insecure", "Tiny", "RD-Dup", "HD-Dup", "dynamic-3",
+        ]
+        assert protected[1][2] == "1.000"
+        # The insecure baseline never runs under timing protection.
+        assert protected[0] == table_rows([])[0]
+
 
 class TestCheckpointFlags:
     ARGS = ["run", "--scheme", "dynamic-3", "--workload", "mcf",
