@@ -240,17 +240,14 @@ def cmd_compare(args: argparse.Namespace) -> int:
     sweep = SweepRunner(jobs=1).run_grid(
         configs, [args.workload], args.requests, seed=args.seed
     )
+    tiny_total = sweep.get(args.workload, "Tiny").total_cycles
     rows = []
-    tiny_total = None
     for config in configs:
         result = sweep.get(args.workload, config.name)
-        if config.name == "Tiny":
-            tiny_total = result.total_cycles
-        speedup = tiny_total / result.total_cycles if tiny_total else float("nan")
         rows.append([
             result.scheme,
             result.total_cycles / 1e6,
-            speedup,
+            tiny_total / result.total_cycles,
             result.onchip_hit_rate,
             result.shadow_path_serves,
         ])

@@ -30,8 +30,10 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from typing import Callable
 
 from repro.obs.metrics import MetricsRegistry
+from repro.oram.block import Block
 
 POLICY_RAISE = "raise"
 POLICY_DEGRADE = "degrade"
@@ -137,8 +139,16 @@ class RuntimeInvariants:
         return violations
 
     # ------------------------------------------------------------------
-    def scan(self) -> list[str]:
-        """Pure inspection: every violation currently present, no policy."""
+    def scan(
+        self, authentic: Callable[[int, int, Block], bool] | None = None
+    ) -> list[str]:
+        """Pure inspection: every violation currently present, no policy.
+
+        With ``authentic`` (e.g. :meth:`MerkleTree.is_authentic
+        <repro.oram.integrity.MerkleTree.is_authentic>`), tree slots it
+        rejects are left out of the census: their contents are not what
+        the controller wrote, so they say nothing about its state.
+        """
         ctrl = self.controller
         cfg = ctrl.config
         tree = ctrl.tree
@@ -163,7 +173,11 @@ class RuntimeInvariants:
                     f"bucket {idx} occupancy {len(occupied)} exceeds Z={cfg.z}"
                 )
             level = tree.level_of_bucket(idx)
-            for blk in occupied:
+            for slot, blk in enumerate(bucket):
+                if blk is None or (
+                    authentic is not None and not authentic(idx, slot, blk)
+                ):
+                    continue
                 where = f"bucket {idx} (level {level})"
                 mapped = posmap.lookup(blk.addr)
                 if blk.is_shadow:

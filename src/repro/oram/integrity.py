@@ -32,6 +32,7 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import dataclass
+from typing import Sequence
 
 from repro.oram.block import Block
 from repro.oram.tree import OramTree
@@ -191,12 +192,27 @@ class MerkleTree:
     rebinds it), never cached by ``Block`` identity (a fault may mutate
     a tree-resident block in place).
 
+    The controller tells :meth:`update_path` which path levels it
+    rewrote, so only those buckets are re-framed: the path write names
+    every level, a demand read the levels it cleared a copy of the
+    requested block from, a dummy read none.  The eviction read names
+    none either: it empties the whole path, and the path write that
+    follows it re-frames and re-hashes that path before anything
+    verifies it.
+
     Args:
         tree: The ORAM tree to authenticate.
     """
 
     def __init__(self, tree: OramTree) -> None:
         self.tree = tree
+        # ``(first bucket index, shift)`` per level, leaf level first: the
+        # tree's ``path_geometry``, which the controller's path loops
+        # slice the tree with, in bucket rather than slot units.
+        self._geometry = tuple(
+            (offset // tree.z, shift)
+            for offset, shift in reversed(tree.path_geometry)
+        )
         # Heap order, padded with empty digests for the children of leaf
         # buckets, so one expression hashes every node.
         self._digests: list[bytes] = [b""] * (2 * tree.num_buckets + 1)
@@ -267,12 +283,7 @@ class MerkleTree:
         num_leaves = self.tree.num_leaves
         if not 0 <= leaf < num_leaves:
             raise ValueError(f"leaf {leaf} out of range 0..{num_leaves - 1}")
-        index = num_leaves - 1 + leaf
-        path = [index]
-        while index:
-            index = (index - 1) >> 1
-            path.append(index)
-        return path
+        return [first + (leaf >> shift) for first, shift in self._geometry]
 
     # ------------------------------------------------------------------
     def verify_path(self, leaf: int) -> None:
@@ -295,27 +306,34 @@ class MerkleTree:
                     f"on path {leaf}"
                 )
 
-    def update_path(self, leaf: int) -> bytes:
-        """Re-hash path ``leaf`` after a path write; returns the new root.
+    def update_path(self, leaf: int, levels: Sequence[int]) -> bytes:
+        """Re-hash path ``leaf`` after the controller rewrote ``levels``.
 
-        Walks leaf to root.  A bucket whose live frames equal its stored
-        ones, with no deeper path bucket changed, keeps its digest: by the
-        invariant it already hashes exactly those contents and children (a
-        dummy read changes nothing on its path, a demand read only the
-        bucket that held the requested block).  At most O(L) hashes — the
-        standard Merkle update the hardware performs during Step-6.
+        The caller names the path levels whose buckets it changed: every
+        level after a path write, the levels where a demand read cleared a
+        copy of the requested block, none after a dummy read.  Only those
+        buckets are re-framed; their live contents become the
+        authenticated ones.  Then each node from the deepest named level
+        up to the root is re-hashed from its stored frames and child
+        digests — at most O(L) hashes, the standard Merkle update the
+        hardware performs during Step-6.  A bucket changed at a level not
+        named keeps its old frames, so :meth:`verify_path` rejects it.
+        Returns the new root.
         """
+        if not levels:
+            return self.root
+        path = self._path(leaf)
+        top = len(path) - 1
         slots = self.tree._slots
         z = self.tree.z
-        changed = False
-        for index in self._path(leaf):
+        for level in levels:
+            index = path[top - level]
             bucket = slots[index * z:index * z + z]
-            live = _bucket_frame(bucket)
-            if live != self._frames[index]:
-                self._store(index, bucket, live)
-                changed = True
-            if changed:
-                self._digests[index] = self._node_digest(index, live)
+            self._store(index, bucket, _bucket_frame(bucket))
+        frames = self._frames
+        digests = self._digests
+        for index in path[top - max(levels):]:
+            digests[index] = self._node_digest(index, frames[index])
         return self.root
 
     # ------------------------------------------------------------------
@@ -359,15 +377,11 @@ class MerkleTree:
 
         Used after a recovery heals a slot: the healed bucket's live
         contents become its authenticated ones, and every ancestor's node
-        digest is recomputed from its (unchanged) stored pre-images —
-        O(L) hashes.
+        digest is recomputed from its (unchanged) stored pre-images — an
+        :meth:`update_path` that names only the bucket's level, O(L)
+        hashes.
         """
-        z = self.tree.z
-        bucket = self.tree._slots[index * z:index * z + z]
-        frames = _bucket_frame(bucket)
-        self._store(index, bucket, frames)
-        self._digests[index] = self._node_digest(index, frames)
-        while index > 0:
-            index = (index - 1) // 2
-            self._digests[index] = self._node_digest(index, self._frames[index])
-        return self.root
+        tree = self.tree
+        return self.update_path(
+            tree.leaf_under(index), (tree.level_of_bucket(index),)
+        )

@@ -470,11 +470,16 @@ class RecoveryManager:
         controller indistinguishable from a fault-free run, so any
         violation here means recovery itself is broken — raise under
         ``recover``, count under ``degrade`` (where dropped slots make
-        some violations expected).
+        some violations expected).  Tree slots the Merkle tree does not
+        authenticate are left out, as :meth:`_scrub_posmap` leaves them:
+        a latent corruption no read or scrub has reached yet is the heal
+        pass's job when one does, not evidence against this heal.
         """
         from repro.faults.invariants import RuntimeInvariants
 
-        violations = RuntimeInvariants(self.controller).scan()
+        violations = RuntimeInvariants(self.controller).scan(
+            authentic=self.merkle.is_authentic
+        )
         if not violations:
             return
         if self.policy == POLICY_RECOVER:

@@ -624,6 +624,8 @@ class TinyOramController:
         slots = tree._slots
         geometry = tree.path_geometry
         insert = self.stash.insert
+        # Levels whose bucket this read rewrote, for the Merkle update.
+        changed: list[int] = []
         # Each bucket is read as one slice, in streaming order: level
         # ascending, slot ascending.
         if absorb_all:
@@ -666,6 +668,7 @@ class TinyOramController:
                                 else:
                                     served_from = SERVED_PATH
                         slots[base + slot] = None
+                        changed.append(level)
                         if not blk.is_shadow:
                             self._stash_insert(blk, level)
                         # Shadow copies of the requested block are
@@ -684,14 +687,16 @@ class TinyOramController:
                 PathReadFinished(leaf=leaf, purpose=purpose, ts=timing.finish)
             )
         if self.integrity is not None:
-            # The read removed blocks from the path; re-hash it so the
-            # tree stays authenticated (the hardware re-encrypts and
-            # re-hashes what it streams back).
+            # Re-hash what the read removed from the path, so the tree
+            # stays authenticated (the hardware re-encrypts and re-hashes
+            # what it streams back).  The eviction read names no level:
+            # the path write that follows it in ``_maybe_evict`` rewrites
+            # and re-hashes the whole path before anything verifies it.
             if observed:
                 bus.emit(SpanStarted(
                     name="merkle", ts=timing.finish, detail="update"
                 ))
-            self.integrity.update_path(leaf)
+            self.integrity.update_path(leaf, changed)
             if observed:
                 bus.emit(SpanFinished(name="merkle", ts=timing.finish))
         if observed:
@@ -731,7 +736,7 @@ class TinyOramController:
                 bus.emit(SpanStarted(
                     name="merkle", ts=timing.finish, detail="update"
                 ))
-            self.integrity.update_path(leaf)
+            self.integrity.update_path(leaf, range(self.config.levels + 1))
             if observed:
                 bus.emit(SpanFinished(name="merkle", ts=timing.finish))
         if observed:

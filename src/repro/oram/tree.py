@@ -205,6 +205,11 @@ class OramTree:
         """Level of bucket ``index`` (root = 0)."""
         return (index + 1).bit_length() - 1
 
+    def leaf_under(self, index: int) -> int:
+        """Leftmost leaf whose path passes through bucket ``index``."""
+        level = self.level_of_bucket(index)
+        return (index + 1 - (1 << level)) << (self.levels - level)
+
     def count_blocks(self) -> tuple[int, int]:
         """Return ``(num_real, num_shadow)`` blocks currently stored."""
         real = shadow = 0
