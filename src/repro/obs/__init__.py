@@ -39,14 +39,10 @@ from repro.obs.events import (
     EVENT_BY_NAME,
     EVENT_TYPES,
     BlockServed,
-    DummyIssued,
     DuplicationPlaced,
     EventBus,
-    EvictionPerformed,
     HotAddressTouched,
     PartitionAdjusted,
-    PathReadFinished,
-    PathReadStarted,
     RequestCompleted,
     ServeRequestServed,
     ShardRecovered,
@@ -106,10 +102,8 @@ __all__ = [
     "BlockServed",
     "EVENT_BY_NAME",
     "EVENT_TYPES",
-    "DummyIssued",
     "DuplicationPlaced",
     "EventBus",
-    "EvictionPerformed",
     "FlightRecorder",
     "HotAddressTouched",
     "JsonlLogger",
@@ -117,8 +111,6 @@ __all__ = [
     "MetricsEndpoint",
     "MetricsRegistry",
     "PartitionAdjusted",
-    "PathReadFinished",
-    "PathReadStarted",
     "ProgressJsonlWriter",
     "ProgressReporter",
     "RequestCompleted",

@@ -16,16 +16,20 @@ family (``bus._detail``, derived from the subscriptions)::
 
     bus = self.bus
     if bus._subs:
-        bus.emit(SpanStarted(name="path_read", ts=now, detail=purpose))
+        bus.emit(SpanStarted(name="stash_scan", ts=now))
     if bus._detail:
-        bus.emit(PathReadStarted(leaf=leaf, purpose=purpose, ts=now))
+        bus.emit(BlockServed(addr=addr, op=op, source="stash", ...))
 
 A span-only run (``repro run --spans``, ``repro profile``) therefore
-builds no stash, duplication or path events it would throw away.
+builds no stash, duplication or serve events it would throw away.  Path
+reads, RW evictions and dummy requests are recorded by their spans alone
+(``path_read``/``eviction_read`` with the read's purpose as ``detail``,
+``eviction``, and the ``dummy`` root); no second event repeats them.
 
-Components without their own clock (the stash, the hot address cache, the
-partition policy) stamp events with ``bus.now``, which the controller
-advances at the start of every access while subscribers are attached.
+Components without their own clock (the hot address cache, the partition
+policy, the shadow fill) stamp events with ``bus.now``, which the
+controller advances at the start of every access while subscribers are
+attached.
 """
 
 from __future__ import annotations
@@ -46,24 +50,6 @@ PURPOSE_EVICTION = "eviction"
 # ----------------------------------------------------------------------
 # Event taxonomy
 # ----------------------------------------------------------------------
-@dataclass(slots=True, frozen=True)
-class PathReadStarted:
-    """A full path read began streaming (root to leaf)."""
-
-    leaf: int
-    purpose: str  # request | dummy | eviction
-    ts: float
-
-
-@dataclass(slots=True, frozen=True)
-class PathReadFinished:
-    """The path read's last block left the DRAM bus."""
-
-    leaf: int
-    purpose: str
-    ts: float
-
-
 @dataclass(slots=True, frozen=True)
 class BlockServed:
     """The intended block of a real request reached the LLC.
@@ -107,15 +93,6 @@ class RequestCompleted:
 
 
 @dataclass(slots=True, frozen=True)
-class EvictionPerformed:
-    """One RW eviction (read + write of the next reverse-lex path)."""
-
-    leaf: int
-    start: float
-    finish: float
-
-
-@dataclass(slots=True, frozen=True)
 class DuplicationPlaced:
     """A shadow copy was written into a dummy slot (Algorithm 1)."""
 
@@ -128,7 +105,8 @@ class DuplicationPlaced:
 
 @dataclass(slots=True, frozen=True)
 class StashOccupancy:
-    """Stash occupancy after a mutation (real + replaceable shadows)."""
+    """Stash occupancy after one ``access()``/``dummy_access()`` call
+    (real blocks + replaceable shadows), stamped with its ``finish``."""
 
     real: int
     shadow: int
@@ -143,15 +121,6 @@ class PartitionAdjusted:
     new_level: int
     counter: int
     ts: float
-
-
-@dataclass(slots=True, frozen=True)
-class DummyIssued:
-    """A dummy ORAM request fired (timing protection or drain)."""
-
-    leaf: int
-    ts: float
-    finish: float
 
 
 @dataclass(slots=True, frozen=True)
@@ -401,15 +370,11 @@ class CheckpointRestored:
 
 
 EVENT_TYPES: tuple[type, ...] = (
-    PathReadStarted,
-    PathReadFinished,
     BlockServed,
     RequestCompleted,
-    EvictionPerformed,
     DuplicationPlaced,
     StashOccupancy,
     PartitionAdjusted,
-    DummyIssued,
     SlotAligned,
     HotAddressTouched,
     SweepPointStarted,

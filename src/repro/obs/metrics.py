@@ -23,21 +23,17 @@ from repro.obs.events import (
     CheckpointRestored,
     CheckpointSaved,
     CorruptionDetected,
-    DummyIssued,
     DuplicationPlaced,
-    EvictionPerformed,
     EventBus,
     HotAddressTouched,
     PartitionAdjusted,
-    PathReadStarted,
     PosmapRepaired,
     RecoveryFailed,
     RequestCompleted,
     SlotAligned,
+    SpanStarted,
     StashOccupancy,
 )
-
-SERVED_ONCHIP_SOURCES = ("stash", "shadow_stash", "treetop")
 
 
 class Counter:
@@ -266,11 +262,20 @@ class MetricsCollector:
     * ``requests/real_oram`` — data requests that launched path accesses;
     * ``requests/dummy`` — dummy requests;
     * ``served/<source>``, ``served/onchip``, ``served/shadow_path``;
-    * ``paths/reads/<purpose>``, ``evictions``, ``duplication/<kind>``;
+    * ``paths/reads/<purpose>``, ``evictions`` and
+      ``paths/reads/dummy_issued``, counted from the ``path_read`` /
+      ``eviction_read`` (purpose in ``detail``), ``eviction`` and
+      ``dummy`` spans' starts;
+    * ``duplication/<kind>``;
     * ``scheduler/slot_waits``, ``hot_cache/{hits,misses}``;
     * ``partition/adjustments`` counter + ``partition/level`` gauge;
+    * ``stash/real`` and ``stash/shadow`` gauges and the
+      ``stash/real_occupancy`` histogram, sampled once after each
+      ``access()``/``dummy_access()`` (the occupancy Path ORAM's stash
+      bound speaks of; the transient peak within an access is
+      ``SimulationResult.stash_peak``);
     * histograms ``latency/data_request``, ``latency/dummy_request``,
-      ``shadow/hit_level``, ``stash/real_occupancy``, ``dri/interval``.
+      ``shadow/hit_level``, ``dri/interval``.
 
     ``latency/data_request`` measures launch-to-data latency (the
     controller's view); the CPU-perceived latency reported by
@@ -294,7 +299,15 @@ class MetricsCollector:
     # ------------------------------------------------------------------
     def on_event(self, event: object) -> None:
         reg = self.registry
-        if type(event) is BlockServed:
+        if type(event) is SpanStarted:
+            name = event.name
+            if name == "path_read" or name == "eviction_read":
+                reg.counter(f"paths/reads/{event.detail}").inc()
+            elif name == "eviction":
+                reg.counter("evictions").inc()
+            elif name == "dummy":
+                reg.counter("paths/reads/dummy_issued").inc()
+        elif type(event) is BlockServed:
             reg.counter(f"served/{event.source}").inc()
             if event.onchip:
                 reg.counter("served/onchip").inc()
@@ -318,16 +331,10 @@ class MetricsCollector:
             self.occupancy.observe(float(event.real))
             reg.gauge("stash/real").set(event.real)
             reg.gauge("stash/shadow").set(event.shadow)
-        elif type(event) is PathReadStarted:
-            reg.counter(f"paths/reads/{event.purpose}").inc()
-        elif type(event) is EvictionPerformed:
-            reg.counter("evictions").inc()
         elif type(event) is DuplicationPlaced:
             reg.counter(f"duplication/{event.kind}").inc()
             if event.from_stash:
                 reg.counter("duplication/from_stash").inc()
-        elif type(event) is DummyIssued:
-            reg.counter("paths/reads/dummy_issued").inc()
         elif type(event) is SlotAligned:
             reg.counter("scheduler/slot_waits").inc()
             if event.wait > 0:

@@ -5,25 +5,29 @@ and renders the event stream as Chrome trace-event JSON (the format both
 ``chrome://tracing`` and Perfetto load natively):
 
 * one thread track per CPU core — a slice per data request from issue to
-  ``data_ready``, named by its serving source;
-* one track for the ORAM bus — a slice per path access (request, dummy,
-  or eviction read) plus eviction read+write envelopes and duplication
-  placements;
-* one track for the scheduler — slot-alignment waits and dummy launches;
+  ``data_ready``, named by its serving source
+  (``RequestCompleted.served_from``);
+* one track for the ORAM bus — duplication placements;
+* one track for the scheduler — slot-alignment waits and served-request
+  marks of the serving layer;
 * one track for integrity/recovery — corruption detections, heals,
   posmap repairs, and checkpoint save/restore marks;
 * a separate process for the sweep engine's host-side point lifecycle;
-* counter tracks for the partitioning level, stash occupancy, and the
-  Hot Address Cache hit/miss tallies;
+* counter tracks for the partitioning level, stash occupancy (one sample
+  after each access), and the Hot Address Cache hit/miss tallies;
 * three span tracks (scheduler / ORAM / DRAM) rendering the causal span
   trees of :mod:`repro.obs.spans` as nested B/E duration events, with
   flow arrows linking each request's hop from its scheduler root through
-  the controller phases down to the DRAM streaming stage.
+  the controller phases down to the DRAM streaming stage.  Path reads
+  (``path_read``/``eviction_read``, purpose in ``args.detail``), RW
+  evictions and dummy requests are drawn here and nowhere else.
 
 Dispatch is a ``{event class: handler}`` table covering *every* class in
 :data:`~repro.obs.events.EVENT_TYPES` — the constructor refuses to build
 otherwise, so adding an event type without a timeline rendering is an
-immediate error instead of a silently empty track.
+immediate error instead of a silently empty track.  ``BlockServed`` maps
+to a no-op: its source is drawn from the ``RequestCompleted`` that
+follows it.
 
 Simulated cycles are written as microseconds (``ts``/``dur``), which keeps
 the UI units readable; 1 us on screen == 1 CPU cycle.  Timestamps within a
@@ -44,14 +48,10 @@ from repro.obs.events import (
     CheckpointRestored,
     CheckpointSaved,
     CorruptionDetected,
-    DummyIssued,
     DuplicationPlaced,
     EventBus,
-    EvictionPerformed,
     HotAddressTouched,
     PartitionAdjusted,
-    PathReadFinished,
-    PathReadStarted,
     PosmapRepaired,
     RecoveryFailed,
     RequestCompleted,
@@ -93,9 +93,7 @@ class TimelineBuilder:
     def __init__(self, bus: EventBus) -> None:
         self.events: list[dict[str, object]] = []
         self._last_ts: dict[tuple[int, int], float] = {}
-        self._open_reads: list[PathReadStarted] = []
         self._cores_seen: set[int] = set()
-        self._last_source: str | None = None
         self._hot_hits = 0
         self._hot_misses = 0
         self._sweep_seq = 0
@@ -107,15 +105,11 @@ class TimelineBuilder:
         # 1 = ORAM, 2 = DRAM).
         self._flow_stack: list[dict[str, int]] = []
         self._handlers: dict[type, object] = {
-            PathReadStarted: self._on_path_read_started,
-            PathReadFinished: self._on_path_read_finished,
-            BlockServed: self._on_block_served,
+            BlockServed: self._ignore,
             RequestCompleted: self._on_request_completed,
-            EvictionPerformed: self._on_eviction,
             DuplicationPlaced: self._on_duplication,
             StashOccupancy: self._on_stash_occupancy,
             PartitionAdjusted: self._on_partition,
-            DummyIssued: self._on_dummy_issued,
             SlotAligned: self._on_slot_aligned,
             SpanStarted: self._on_span_started,
             SpanFinished: self._on_span_finished,
@@ -219,29 +213,16 @@ class TimelineBuilder:
         if handler is not None:
             handler(event)
 
-    def _on_path_read_started(self, event: PathReadStarted) -> None:
-        self._open_reads.append(event)
-
-    def _on_path_read_finished(self, event: PathReadFinished) -> None:
-        start = self._match_read(event)
-        self._slice(
-            PID_ORAM,
-            TID_BUS,
-            f"path read ({event.purpose})",
-            start,
-            event.ts,
-            {"leaf": event.leaf},
-        )
-
-    def _on_block_served(self, event: BlockServed) -> None:
-        self._last_source = event.source
+    @staticmethod
+    def _ignore(event: object) -> None:
+        pass
 
     def _on_request_completed(self, event: RequestCompleted) -> None:
         if event.op == "dummy":
             return
         core = event.core if event.core >= 0 else 0
         self._cores_seen.add(core)
-        source = self._last_source or (event.served_from or "unknown")
+        source = event.served_from or "unknown"
         self._slice(
             PID_CORES,
             core,
@@ -250,17 +231,6 @@ class TimelineBuilder:
             event.data_ready,
             {"addr": event.addr, "source": source},
             cat="request",
-        )
-        self._last_source = None
-
-    def _on_eviction(self, event: EvictionPerformed) -> None:
-        self._slice(
-            PID_ORAM,
-            TID_SCHEDULER,
-            "eviction",
-            event.start,
-            event.finish,
-            {"leaf": event.leaf},
         )
 
     def _on_duplication(self, event: DuplicationPlaced) -> None:
@@ -272,17 +242,6 @@ class TimelineBuilder:
             {"addr": event.addr, "level": event.level,
              "from_stash": event.from_stash},
             cat="duplication",
-        )
-
-    def _on_dummy_issued(self, event: DummyIssued) -> None:
-        self._slice(
-            PID_ORAM,
-            TID_SCHEDULER,
-            "dummy request",
-            event.ts,
-            event.finish,
-            {"leaf": event.leaf},
-            cat="scheduler",
         )
 
     def _on_slot_aligned(self, event: SlotAligned) -> None:
@@ -508,13 +467,6 @@ class TimelineBuilder:
             {"window": event.window, "violations": event.violations},
             cat="slo",
         )
-
-    def _match_read(self, finished: PathReadFinished) -> float:
-        for i, started in enumerate(self._open_reads):
-            if started.leaf == finished.leaf and started.purpose == finished.purpose:
-                del self._open_reads[i]
-                return started.ts
-        return finished.ts
 
     # ------------------------------------------------------------------
     # Export

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from collections import OrderedDict
 
-from repro.obs.events import EventBus, StashOccupancy
 from repro.oram.block import Block
 
 
@@ -56,16 +55,12 @@ class Stash:
         capacity: Maximum number of *real* blocks (paper: ``M``, e.g. 200).
             Shadow blocks squat in whatever space is left and are evicted
             FIFO when a real block needs their slot.
-        bus: Observability bus; occupancy events are emitted after every
-            mutation while subscribers are attached (timestamped with the
-            bus's ambient clock).
     """
 
-    def __init__(self, capacity: int, bus: EventBus | None = None) -> None:
+    def __init__(self, capacity: int) -> None:
         if capacity < 1:
             raise ValueError(f"stash capacity must be positive, got {capacity}")
         self.capacity = capacity
-        self.bus = bus if bus is not None else EventBus()
         self._real: dict[int, Block] = {}
         self._shadow: OrderedDict[int, Block] = OrderedDict()
         self._shadow_source_level: dict[int, int] = {}
@@ -198,8 +193,6 @@ class Stash:
             self._shadow_source_level[addr] = level
             self._shadow_seq[addr] = self._shadow_seq_next
             self._shadow_seq_next += 1
-            if self.bus._detail:
-                self._emit_occupancy()
             return
 
         if shadow.pop(addr, None) is not None:
@@ -222,8 +215,6 @@ class Stash:
         if nreal > self.peak_real:
             self.peak_real = nreal
         self._shadow_source_level.pop(addr, None)
-        if self.bus._detail:
-            self._emit_occupancy()
 
     def remove_real(self, addr: int) -> Block:
         """Remove and return the real block for ``addr`` (after eviction).
@@ -232,17 +223,11 @@ class Stash:
         dropping the entry entirely is the equivalent software model — the
         authoritative copy now lives in the tree.
         """
-        blk = self._real.pop(addr)
-        if self.bus._detail:
-            self._emit_occupancy()
-        return blk
+        return self._real.pop(addr)
 
     def remove_shadow(self, addr: int) -> Block | None:
         """Remove and return the shadow block for ``addr`` if present."""
-        blk = self._shadow.pop(addr, None)
-        if blk is not None and self.bus._detail:
-            self._emit_occupancy()
-        return blk
+        return self._shadow.pop(addr, None)
 
     def evict_shadow(self, addr: int) -> None:
         """Drop the stashed shadow for ``addr`` once a path write has
@@ -325,14 +310,3 @@ class Stash:
         self.peak_real = state["peak_real"]
         self.shadow_drops = state["shadow_drops"]
         self.merges = state["merges"]
-
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-    def _emit_occupancy(self) -> None:
-        bus = self.bus
-        bus.emit(
-            StashOccupancy(
-                real=len(self._real), shadow=len(self._shadow), ts=bus.now
-            )
-        )

@@ -29,14 +29,11 @@ from repro.obs.events import (
     PURPOSE_EVICTION,
     PURPOSE_REQUEST,
     BlockServed,
-    DummyIssued,
     EventBus,
-    EvictionPerformed,
-    PathReadFinished,
-    PathReadStarted,
     RequestCompleted,
     SpanFinished,
     SpanStarted,
+    StashOccupancy,
 )
 from repro.oram.block import Block
 from repro.oram.config import OramConfig
@@ -92,24 +89,6 @@ class AccessResult:
     version: int = -1
     evicted: bool = False
     path_accesses: int = 0
-
-
-def _completed(result: AccessResult, core: int) -> RequestCompleted:
-    """Flatten an :class:`AccessResult` into the bus event."""
-    data_ready = (
-        result.data_ready if result.data_ready is not None else result.finish
-    )
-    return RequestCompleted(
-        addr=result.addr,
-        op=result.op,
-        served_from=result.served_from,
-        issue=result.issue,
-        data_ready=data_ready,
-        finish=result.finish,
-        evicted=result.evicted,
-        path_accesses=result.path_accesses,
-        core=core,
-    )
 
 
 @dataclass(slots=True)
@@ -256,7 +235,7 @@ class TinyOramController:
             # controller's resolved bus so they nest inside path spans.
             self.timer.bus = self.bus
         self.tree = OramTree(config.levels, config.z)
-        self.stash = Stash(config.stash_capacity, bus=self.bus)
+        self.stash = Stash(config.stash_capacity)
         self.posmap = PositionMap(config.num_blocks, config.num_leaves, rng)
         self.stats = OramStats()
         # Per-access seam for runtime auditing: when set, called with the
@@ -338,8 +317,7 @@ class TinyOramController:
                         addr=addr, detail=SERVED_SHADOW_STASH,
                     ))
                     bus.emit(SpanFinished(name="shadow_serve", ts=hit.data_ready))
-                bus.emit(_completed(hit, bus.core))
-                bus.emit(SpanFinished(name="oram_access", ts=hit.finish))
+                self._report(hit, "oram_access")
             if self.post_access_hook is not None:
                 self.post_access_hook(hit)
             return hit
@@ -355,8 +333,7 @@ class TinyOramController:
         new_leaf = self.posmap.remap(addr)
         result = self._oram_access(addr, op, payload, leaf, new_leaf, now)
         if observed:
-            bus.emit(_completed(result, bus.core))
-            bus.emit(SpanFinished(name="oram_access", ts=result.finish))
+            self._report(result, "oram_access")
         if self.post_access_hook is not None:
             self.post_access_hook(result)
         return result
@@ -398,14 +375,40 @@ class TinyOramController:
             evicted=evicted,
             path_accesses=1 + extra_paths,
         )
-        if bus._detail:
-            bus.emit(DummyIssued(leaf=leaf, ts=now, finish=finish))
         if observed:
-            bus.emit(_completed(result, bus.core))
-            bus.emit(SpanFinished(name="dummy", ts=finish))
+            self._report(result, "dummy")
         if self.post_access_hook is not None:
             self.post_access_hook(result)
         return result
+
+    def _report(self, result: AccessResult, root: str) -> None:
+        """Close one observed access on the bus.
+
+        Emits the stash occupancy the access left (detail subscribers
+        only), its :class:`RequestCompleted` and the close of its
+        ``root`` span (``oram_access`` or ``dummy``).
+        """
+        bus = self.bus
+        finish = result.finish
+        if bus._detail:
+            stash = self.stash
+            bus.emit(StashOccupancy(
+                real=stash.real_count, shadow=stash.shadow_count, ts=finish
+            ))
+        bus.emit(RequestCompleted(
+            addr=result.addr,
+            op=result.op,
+            served_from=result.served_from,
+            issue=result.issue,
+            data_ready=(
+                result.data_ready if result.data_ready is not None else finish
+            ),
+            finish=finish,
+            evicted=result.evicted,
+            path_accesses=result.path_accesses,
+            core=bus.core,
+        ))
+        bus.emit(SpanFinished(name=root, ts=finish))
 
     # ------------------------------------------------------------------
     # On-chip hit handling (Step-1)
@@ -540,10 +543,6 @@ class TinyOramController:
         )
         write_timing = self._path_write(leaf, read_timing.finish)
         self.stats.evictions += 1
-        if bus._detail:
-            bus.emit(
-                EvictionPerformed(leaf=leaf, start=now, finish=write_timing.finish)
-            )
         if observed:
             bus.emit(SpanFinished(name="eviction", ts=write_timing.finish))
         return write_timing.finish, True, 2
@@ -611,8 +610,6 @@ class TinyOramController:
         stats.blocks_internal += self._blocks_per_path
         if self.observer is not None:
             self.observer(("read", leaf, now))
-        if bus._detail:
-            bus.emit(PathReadStarted(leaf=leaf, purpose=purpose, ts=now))
         if observed:
             bus.emit(SpanStarted(name="stash_scan", ts=now))
 
@@ -682,10 +679,6 @@ class TinyOramController:
                         insert(blk, level)
         if observed:
             bus.emit(SpanFinished(name="stash_scan", ts=now))
-        if bus._detail:
-            bus.emit(
-                PathReadFinished(leaf=leaf, purpose=purpose, ts=timing.finish)
-            )
         if self.integrity is not None:
             # Re-hash what the read removed from the path, so the tree
             # stays authenticated (the hardware re-encrypts and re-hashes
@@ -719,7 +712,8 @@ class TinyOramController:
         observed = bool(bus._subs)
         if observed:
             # Advance the ambient clock so clock-less emitters inside the
-            # write (shadow fill, stash occupancy) stamp the write phase.
+            # write (shadow fill, duplication placements) stamp the write
+            # phase.
             bus.now = now
             bus.emit(SpanStarted(name="eviction_write", ts=now))
         buf = self._build_path_contents(leaf)

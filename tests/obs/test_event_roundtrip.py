@@ -19,6 +19,7 @@ from repro.obs.events import (
     event_from_dict,
     event_to_dict,
 )
+from repro.obs.flightrec import load_postmortem, traces_from_events
 from repro.obs.log import JsonlLogger, load_events, run_metadata
 from repro.obs.timeline import TimelineBuilder
 
@@ -78,6 +79,87 @@ class TestJsonlRoundTrip:
         assert load_events(io.StringIO(text)) == []
 
 
+# One request of ``repro run --scheme dynamic-3 --workload mcf --levels 6
+# --requests 300 --events FILE``, as written when the event set still held
+# PathReadStarted/PathReadFinished (since deleted: the path_read span
+# records them).
+OLD_EVENT_LOG = """\
+{"type":"run_metadata","git":"160b5ed","python":"3.11.7","config":"dynamic-3 L=6 Z=5 A=5 N=158 inorder","seed":1,"workload":"mcf","requests":300}
+{"type":"SpanStarted","name":"request","ts":26.0,"addr":59,"detail":"read"}
+{"type":"SpanStarted","name":"oram_access","ts":26.0,"addr":59,"detail":"read"}
+{"type":"SpanStarted","name":"stash_scan","ts":26.0,"addr":-1,"detail":""}
+{"type":"HotAddressTouched","addr":59,"count":1,"hit":false,"ts":26.0}
+{"type":"SpanFinished","name":"stash_scan","ts":26.0,"detail":""}
+{"type":"PartitionAdjusted","old_level":3,"new_level":2,"counter":4,"ts":26.0}
+{"type":"SpanStarted","name":"path_read","ts":26.0,"addr":-1,"detail":"request"}
+{"type":"SpanStarted","name":"dram_read","ts":26.0,"addr":-1,"detail":"stream"}
+{"type":"SpanFinished","name":"dram_read","ts":428.0,"detail":""}
+{"type":"PathReadStarted","leaf":56,"purpose":"request","ts":26.0}
+{"type":"SpanStarted","name":"stash_scan","ts":26.0,"addr":-1,"detail":""}
+{"type":"StashOccupancy","real":1,"shadow":0,"ts":26.0}
+{"type":"SpanFinished","name":"stash_scan","ts":26.0,"detail":""}
+{"type":"PathReadFinished","leaf":56,"purpose":"request","ts":560.0}
+{"type":"SpanFinished","name":"path_read","ts":560.0,"detail":""}
+{"type":"BlockServed","addr":59,"op":"read","source":"path","level":6,"onchip":false,"core":0,"ts":527.0}
+{"type":"RequestCompleted","addr":59,"op":"read","served_from":"path","issue":26.0,"data_ready":527.0,"finish":560.0,"evicted":false,"path_accesses":1,"core":0}
+{"type":"SpanFinished","name":"oram_access","ts":560.0,"detail":""}
+{"type":"SpanFinished","name":"request","ts":560.0,"detail":""}
+"""
+
+# The tail of a flight-recorder ring (capacity 12) dumped from a
+# ShadowOramController in functional mode by the same older code.
+OLD_POSTMORTEM = """\
+{"meta": {"capacity": 12, "captured": 12, "dropped": 20, "kind": "flight-recorder", "reason": "crash", "schema": 1, "ts": 1700000000.0}}
+{"type":"SpanStarted","name":"path_read","ts":0.0,"addr":-1,"detail":"request"}
+{"type":"SpanStarted","name":"dram_read","ts":0.0,"addr":-1,"detail":"functional"}
+{"type":"SpanFinished","name":"dram_read","ts":0.0,"detail":""}
+{"type":"PathReadStarted","leaf":3,"purpose":"request","ts":0.0}
+{"type":"SpanStarted","name":"stash_scan","ts":0.0,"addr":-1,"detail":""}
+{"type":"StashOccupancy","real":2,"shadow":0,"ts":0.0}
+{"type":"SpanFinished","name":"stash_scan","ts":0.0,"detail":""}
+{"type":"PathReadFinished","leaf":3,"purpose":"request","ts":0.0}
+{"type":"SpanFinished","name":"path_read","ts":0.0,"detail":""}
+{"type":"BlockServed","addr":5,"op":"read","source":"path","level":4,"onchip":false,"core":-1,"ts":0.0}
+{"type":"RequestCompleted","addr":5,"op":"read","served_from":"path","issue":0.0,"data_ready":0.0,"finish":0.0,"evicted":false,"path_accesses":1,"core":-1}
+{"type":"SpanFinished","name":"oram_access","ts":0.0,"detail":""}
+"""
+
+DELETED_TYPES = {"PathReadStarted", "PathReadFinished"}
+
+
+def kept_events(text):
+    """The events of ``text`` whose type this code still defines."""
+    records = [json.loads(line) for line in text.splitlines()[1:]]
+    assert DELETED_TYPES <= {r["type"] for r in records}
+    return [event_from_dict(r) for r in records
+            if r["type"] not in DELETED_TYPES]
+
+
+class TestLogsFromOlderCode:
+    """A deleted event type is skipped on load; ``event_from_dict``
+    still raises on it."""
+
+    def test_event_from_dict_refuses_a_deleted_type(self):
+        record = json.loads(OLD_EVENT_LOG.splitlines()[10])
+        assert record["type"] == "PathReadStarted"
+        with pytest.raises(ValueError, match="unknown event type"):
+            event_from_dict(record)
+
+    def test_jsonl_log_skips_deleted_types(self):
+        loaded = load_events(io.StringIO(OLD_EVENT_LOG))
+        expected = kept_events(OLD_EVENT_LOG)
+        assert loaded == expected and len(loaded) == 17
+        (trace,) = traces_from_events(loaded)
+        assert trace.served_from == "path"
+
+    def test_postmortem_skips_deleted_types(self, tmp_path):
+        path = tmp_path / "postmortem.jsonl"
+        path.write_text(OLD_POSTMORTEM)
+        meta, events = load_postmortem(path)
+        assert meta["kind"] == "flight-recorder" and meta["captured"] == 12
+        assert events == kept_events(OLD_POSTMORTEM) and len(events) == 10
+
+
 class TestTimelineCoverage:
     def test_handler_table_covers_every_event_type(self):
         builder = TimelineBuilder(EventBus())
@@ -97,12 +179,11 @@ class TestTimelineCoverage:
     @pytest.mark.parametrize(
         "event",
         # RequestCompleted suppresses its op == "dummy" sample and
-        # PathRead/BlockServed only buffer state, so assert output on the
-        # event types that render unconditionally.
+        # BlockServed renders nothing (RequestCompleted draws its source),
+        # so assert output on the event types that render unconditionally.
         [e for e in ALL_EVENTS
          if type(e).__name__ not in (
-             "PathReadStarted", "BlockServed", "RequestCompleted",
-             "SlotAligned",
+             "BlockServed", "RequestCompleted", "SlotAligned",
          )],
         ids=lambda e: type(e).__name__,
     )

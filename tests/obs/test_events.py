@@ -1,5 +1,6 @@
 """EventBus mechanics and event-stream invariants on seeded runs."""
 
+from collections import Counter
 from random import Random
 
 import pytest
@@ -8,15 +9,14 @@ from repro.core.config import ShadowConfig
 from repro.core.controller import ShadowOramController
 from repro.obs.events import (
     BlockServed,
-    DummyIssued,
     DuplicationPlaced,
     EventBus,
-    EvictionPerformed,
     PartitionAdjusted,
-    PathReadFinished,
-    PathReadStarted,
     RequestCompleted,
     SPAN_EVENT_TYPES,
+    SlotAligned,
+    SpanFinished,
+    SpanStarted,
     StashOccupancy,
     event_to_dict,
 )
@@ -39,26 +39,26 @@ class TestEventBus:
         seen = []
         bus.subscribe(seen.append)
         bus.emit(StashOccupancy(real=1, shadow=0, ts=0.0))
-        bus.emit(DummyIssued(leaf=3, ts=1.0, finish=2.0))
+        bus.emit(SlotAligned(ready=1.0, slot=2.0, wait=1.0))
         assert len(seen) == 2
 
     def test_typed_subscription_filters(self):
         bus = EventBus()
         seen = []
-        bus.subscribe(seen.append, DummyIssued)
+        bus.subscribe(seen.append, SlotAligned)
         bus.emit(StashOccupancy(real=1, shadow=0, ts=0.0))
-        bus.emit(DummyIssued(leaf=3, ts=1.0, finish=2.0))
+        bus.emit(SlotAligned(ready=1.0, slot=2.0, wait=1.0))
         assert len(seen) == 1
-        assert isinstance(seen[0], DummyIssued)
+        assert isinstance(seen[0], SlotAligned)
 
     def test_unsubscribe_plain_and_typed(self):
         bus = EventBus()
         seen = []
         bus.subscribe(seen.append)
-        bus.subscribe(seen.append, DummyIssued)
+        bus.subscribe(seen.append, SlotAligned)
         bus.unsubscribe(seen.append)  # removes the plain registration
         bus.unsubscribe(seen.append)  # removes the typed registration
-        bus.emit(DummyIssued(leaf=0, ts=0.0, finish=1.0))
+        bus.emit(SlotAligned(ready=0.0, slot=1.0, wait=1.0))
         assert not seen
         assert not bus.active
 
@@ -78,10 +78,10 @@ class TestEventBus:
         assert bus._subs and not bus._detail
 
     def test_event_to_dict_has_type_discriminator(self):
-        event = DummyIssued(leaf=7, ts=1.0, finish=2.0)
+        event = SlotAligned(ready=1.0, slot=2.0, wait=1.0)
         record = event_to_dict(event)
         assert record == {
-            "type": "DummyIssued", "leaf": 7, "ts": 1.0, "finish": 2.0,
+            "type": "SlotAligned", "ready": 1.0, "slot": 2.0, "wait": 1.0,
         }
 
     def test_events_are_immutable(self):
@@ -130,12 +130,22 @@ class TestSpanOnlyRun:
 
     def test_untyped_subscriber_gets_every_family(self):
         bus = RecordingBus()
-        bus.subscribe(lambda event: None)
+        events = []
+        bus.subscribe(events.append)
         self.run(bus)
         assert {
-            StashOccupancy, DuplicationPlaced, BlockServed, DummyIssued,
-            PathReadStarted, EvictionPerformed,
-        } <= set(bus.emitted)
+            StashOccupancy, DuplicationPlaced, BlockServed, SlotAligned,
+        } | SPAN_EVENT_TYPES <= set(bus.emitted)
+        # Path reads, RW evictions and dummies are recorded as spans.
+        started = {e.name for e in events if type(e) is SpanStarted}
+        assert {"path_read", "eviction_read", "eviction", "dummy"} <= started
+
+
+READ_SPANS = frozenset({"path_read", "eviction_read"})
+
+
+def started_spans(events, name):
+    return [e for e in events if type(e) is SpanStarted and e.name == name]
 
 
 class TestRunInvariants:
@@ -146,24 +156,31 @@ class TestRunInvariants:
         return collect_run(tp=True)
 
     def test_every_path_read_started_has_a_finish(self, run):
+        """Read spans close in LIFO order, pairing per purpose."""
         events, _ = run
-        started = [e for e in events if isinstance(e, PathReadStarted)]
-        finished = [e for e in events if isinstance(e, PathReadFinished)]
-        assert len(started) == len(finished) > 0
-        by_purpose = {}
-        for e in started:
-            by_purpose[e.purpose] = by_purpose.get(e.purpose, 0) + 1
-        for e in finished:
-            by_purpose[e.purpose] -= 1
-        assert all(v == 0 for v in by_purpose.values())
+        stack, started, finished = [], Counter(), Counter()
+        for e in events:
+            if type(e) is SpanStarted:
+                stack.append(e)
+                if e.name in READ_SPANS:
+                    started[e.detail] += 1
+            elif type(e) is SpanFinished:
+                opened = stack.pop()
+                assert opened.name == e.name
+                if e.name in READ_SPANS:
+                    finished[opened.detail] += 1
+        assert not stack
+        assert started == finished
+        assert set(started) == {"request", "dummy", "eviction"}
 
     def test_path_reads_pair_in_order(self, run):
         events, _ = run
         open_reads = 0
         for e in events:
-            if isinstance(e, PathReadStarted):
+            if type(e) is SpanStarted and e.name in READ_SPANS:
                 open_reads += 1
-            elif isinstance(e, PathReadFinished):
+                assert open_reads == 1, "path reads never overlap"
+            elif type(e) is SpanFinished and e.name in READ_SPANS:
                 open_reads -= 1
                 assert open_reads >= 0, "Finished before any Started"
         assert open_reads == 0
@@ -186,8 +203,8 @@ class TestRunInvariants:
 
     def test_dummy_count_matches_result(self, run):
         events, result = run
-        dummies = [e for e in events if isinstance(e, DummyIssued)]
-        assert len(dummies) == result.dummy_requests
+        dummies = started_spans(events, "dummy")
+        assert len(dummies) == result.dummy_requests > 0
 
     def test_request_completed_covers_all_accesses(self, run):
         events, result = run
@@ -199,13 +216,11 @@ class TestRunInvariants:
 
     def test_eviction_rate_matches_protocol(self, run):
         events, result = run
-        evictions = [e for e in events if isinstance(e, EvictionPerformed)]
-        path_reads = [
-            e for e in events
-            if isinstance(e, PathReadStarted) and e.purpose != "eviction"
-        ]
+        evictions = started_spans(events, "eviction")
+        path_reads = started_spans(events, "path_read")
+        assert {e.detail for e in path_reads} == {"request", "dummy"}
         # One RW eviction per A=5 RO accesses (within rounding).
-        assert len(evictions) == len(path_reads) // 5
+        assert len(evictions) == len(path_reads) // 5 > 0
 
     def test_partition_adjustments_reported(self, run):
         events, _ = run

@@ -4,7 +4,7 @@ import io
 import json
 from random import Random
 
-from repro.obs.events import DummyIssued, EventBus
+from repro.obs.events import EventBus, SlotAligned
 from repro.obs.log import (
     AdversaryTraceWriter,
     JsonlLogger,
@@ -37,23 +37,23 @@ class TestJsonlLogger:
         bus = EventBus()
         logger.attach(bus)
         logger.write_metadata(SystemConfig.tiny())
-        bus.emit(DummyIssued(leaf=4, ts=1.0, finish=2.0))
-        bus.emit(DummyIssued(leaf=5, ts=3.0, finish=4.0))
+        bus.emit(SlotAligned(ready=1.0, slot=2.0, wait=1.0))
+        bus.emit(SlotAligned(ready=3.0, slot=4.0, wait=1.0))
         lines = stream.getvalue().splitlines()
         assert len(lines) == logger.lines == 3
         records = [json.loads(line) for line in lines]
         assert records[0]["type"] == "run_metadata"
         assert records[1] == {
-            "type": "DummyIssued", "leaf": 4, "ts": 1.0, "finish": 2.0,
+            "type": "SlotAligned", "ready": 1.0, "slot": 2.0, "wait": 1.0,
         }
 
     def test_typed_attach_filters(self):
         stream = io.StringIO()
         logger = JsonlLogger(stream)
         bus = EventBus()
-        logger.attach(bus, DummyIssued)
-        bus.emit(DummyIssued(leaf=1, ts=0.0, finish=1.0))
-        bus.emit(object())  # not a DummyIssued: filtered out
+        logger.attach(bus, SlotAligned)
+        bus.emit(SlotAligned(ready=0.0, slot=1.0, wait=1.0))
+        bus.emit(object())  # not a SlotAligned: filtered out
         assert logger.lines == 1
 
 
