@@ -10,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro.analysis.cache as cache_mod
 import repro.analysis.engine as engine_mod
 from repro.analysis.cache import ResultCache
 from repro.analysis.engine import (
@@ -443,6 +444,41 @@ class TestInterruptAndResume:
         assert statuses == [STATUS_CACHED, STATUS_CACHED, STATUS_OK, STATUS_OK]
         # The finished ledger now records the whole grid.
         assert sorted(ledger2.completed) == [0, 1, 2, 3]
+
+    def test_resume_after_a_code_change_re_simulates(
+        self, monkeypatch, tmp_path, clean_results
+    ):
+        cache = ResultCache(tmp_path / "cache")
+        ledger_path = tmp_path / "ledger.jsonl"
+        self._interrupt_after(monkeypatch, 3)
+        with pytest.raises(SweepInterrupted):
+            SweepRunner(
+                jobs=1, cache=cache, ledger=SweepLedger(ledger_path)
+            ).run_points(grid_points())
+        monkeypatch.undo()
+
+        # The code changed: neither the ledger nor the cached points of
+        # the interrupted run may be replayed.
+        monkeypatch.setattr(cache_mod, "code_fingerprint", lambda: "edited")
+        calls = {"count": 0}
+        real = engine_mod.execute_point
+
+        def counting(point, backend_filter=None, bus=None):
+            calls["count"] += 1
+            return real(point, backend_filter=backend_filter, bus=bus)
+
+        monkeypatch.setattr(engine_mod, "execute_point", counting)
+        ledger2 = SweepLedger(ledger_path)
+        runner = SweepRunner(
+            jobs=1, cache=ResultCache(tmp_path / "cache"), ledger=ledger2,
+            resume=True,
+        )
+        results = runner.run_points(grid_points())
+        assert dicts(results) == clean_results
+        assert calls["count"] == 4
+        assert ledger2.resumed_from_previous == 0
+        statuses = [p.status for p in runner.last_report.points]
+        assert statuses == [STATUS_OK] * 4
 
     def test_resume_ignores_foreign_grid_ledger(self, tmp_path):
         points = grid_points()
