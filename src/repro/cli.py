@@ -596,7 +596,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         prior = history.load()
     except ValueError as exc:
         raise SystemExit(str(exc)) from None
-    git = git_describe()
+    git = git_describe(ignore=history.path)
     argv = benchtrack.bench_argv(bench, args.workload, args.seed, seconds)
     print(f"running: {' '.join(argv)}", flush=True)
     result = benchtrack.run_benchmark(argv)

@@ -6,6 +6,7 @@ result line it finds in ``result.json``.  No real benchmark runs.
 """
 
 import json
+import subprocess
 import sys
 
 import pytest
@@ -276,3 +277,32 @@ class TestBenchCli:
                  for opt in action.option_strings} - {"-h", "--help"}
         assert flags == {"--workload", "--seed", "--seconds", "--host",
                          "--history-dir", "--compare"}
+
+
+def git(*args):
+    """Run git in the working directory; its stripped stdout."""
+    return subprocess.run(
+        ["git", "-c", "user.name=bench", "-c", "user.email=bench@example.com",
+         "-c", "commit.gpgsign=false", *args],
+        check=True, capture_output=True, text=True,
+    ).stdout.strip()
+
+
+class TestRecordedRevision:
+    """A checkout that tracks its history file stays clean for ``bench``."""
+
+    def test_own_history_does_not_dirty_the_revision(self, bench):
+        history().append(entry(git="seed"))
+        git("init", "-q")
+        git("add", "BENCHMARK.json", "fake_bench.py", str(history().path))
+        git("commit", "-q", "-m", "seed")
+        head = git("describe", "--always", "--dirty", "--tags")
+        assert not head.endswith("-dirty")
+        assert bench() == 0
+        assert bench() == 0
+        assert git("status", "--porcelain", "--untracked-files=no") != ""
+        assert [e["git"] for e in history().load()[1:]] == [head, head]
+        with open("fake_bench.py", "a") as stream:
+            stream.write("# a tracked edit\n")
+        assert bench() == 0
+        assert history().load()[-1]["git"] == f"{head}-dirty"
