@@ -16,10 +16,14 @@ folded in so entries written by an older serialization layout can never
 be deserialized into a newer one.  The code fingerprint
 (:func:`code_fingerprint`) hashes the simulator's own source, so a result
 simulated by other code is never replayed: any edit under ``repro/``
-misses, comments included.  The sweep ledger's grid fingerprint is built
-from these keys and follows suit; checkpoint, bridge-snapshot and
-intent-log run keys do not take it, since those must restore across
-versions that keep behaviour.
+misses, comments included.  Checkpoint, bridge-snapshot and intent-log
+run keys do not take it, since those must restore across versions that
+keep behaviour.
+
+The cache is also a sweep's one record of which points have finished
+under this code: every resolved point is stored as it completes, so
+re-running an interrupted or partly failed sweep with the same cache
+re-executes only the points that have no entry.
 
 Entries are JSON files written atomically (temp file + ``os.replace``)
 under two-level fan-out directories, safe for concurrent writers: the

@@ -14,12 +14,12 @@ points
 * **through an on-disk cache** (:class:`~repro.analysis.cache.ResultCache`)
   keyed by the config fingerprint, workload, request count, seed and
   serialization schema version, so re-running a figure benchmark costs
-  zero ``simulate()`` calls once warm;
+  zero ``simulate()`` calls once warm.  Each point is stored the moment
+  it resolves, so the cache is also the record of finished points:
+  re-running an interrupted sweep executes only the rest;
 * **fault-tolerantly** — per-point timeouts, bounded retries with
   exponential backoff, ``BrokenProcessPool`` detection with pool respawn
-  and serial re-execution of in-flight points, a crash-safe
-  completed-point ledger (:class:`~repro.analysis.manifest.SweepLedger`)
-  behind ``python -m repro sweep --resume``, and graceful
+  and serial re-execution of in-flight points, and graceful
   ``KeyboardInterrupt`` handling (pending futures cancelled, completed
   points flushed, a partial :class:`SweepReport` raised as
   :class:`SweepInterrupted`).  Every run produces a :class:`SweepReport`
@@ -36,10 +36,11 @@ points
 * **with cross-process telemetry** whenever a metrics registry is given
   — every attempt runs under its own bus + metrics collector, ships a
   registry snapshot back with its result, and the runner merges the
-  snapshots into the registry (per-worker ``worker/<n>/...``
-  instruments plus rollups; see :mod:`repro.obs.aggregate`), so a
-  parallel sweep's rollup counters are bit-identical to a serial run's
-  and retried points are counted exactly once.
+  snapshots of the points that resolved to a result into the registry
+  (per-worker ``worker/<n>/...`` instruments plus rollups; see
+  :mod:`repro.obs.aggregate`), so a parallel sweep's rollup counters
+  are bit-identical to a serial run's and retried points are counted
+  exactly once.
 
 One function runs a point: :func:`_execute_job`.  Worker processes call
 it as the pool's target; the serial path, the no-pool fallback and the
@@ -71,9 +72,8 @@ from time import perf_counter
 from typing import Iterable, Iterator, Sequence
 
 from repro.analysis.cache import ResultCache
-from repro.analysis.manifest import SweepLedger, grid_fingerprint
 from repro.faults.injector import FaultPlan
-from repro.obs.aggregate import TelemetryAggregator, snapshot_registry
+from repro.obs.aggregate import merge_labeled_snapshots, snapshot_registry
 from repro.obs.events import (
     EventBus,
     SweepPointFailed,
@@ -369,9 +369,10 @@ class SweepExecutionError(RuntimeError):
 class SweepInterrupted(KeyboardInterrupt):
     """KeyboardInterrupt enriched with the partial sweep state.
 
-    Completed points have already been flushed to the cache and ledger;
-    ``results`` is aligned with the submitted points (``None`` where
-    interrupted) and ``report`` accounts for every point.
+    Completed points have already been flushed to the cache, so running
+    the same sweep again executes only the rest; ``results`` is aligned
+    with the submitted points (``None`` where interrupted) and
+    ``report`` accounts for every point.
     """
 
     def __init__(
@@ -390,7 +391,6 @@ class _PointOutcome:
     attempts: int
     elapsed_s: float
     error: str | None = None
-    resumed: bool = False
     telemetry: dict[str, object] | None = None
     worker: object = "0"
 
@@ -454,14 +454,15 @@ class SweepRunner:
         registry: Metrics registry; the runner maintains ``sweep/points``,
             ``sweep/cache_hits``, ``sweep/cache_misses``,
             ``sweep/executed``, ``sweep/retries``, ``sweep/timeouts``,
-            ``sweep/failed``, ``sweep/resumed``, ``sweep/pool_respawns``
+            ``sweep/failed``, ``sweep/pool_respawns``
             and ``cache/put_errors`` counters on it.  Giving one also
             turns on telemetry: every attempt collects simulator metrics
             under its own bus + collector, and the runner merges the
             snapshots into ``registry`` at the end of the run —
             per-worker instruments under ``worker/<n>/...`` plus
             un-prefixed rollups.  Rollups are the same at any ``jobs``;
-            retried points count once (last successful attempt wins).
+            retried points count once (only a point's successful
+            attempt ships a snapshot).
         timeout_s: Per-point wall-clock budget, enforced on the parallel
             path (a worker past its deadline is abandoned with the pool
             and the point retried or reported ``timed-out``).  ``None``
@@ -474,11 +475,6 @@ class SweepRunner:
         backoff_s: Base of the exponential retry backoff — attempt *n*
             waits ``backoff_s * 2**(n-1)`` seconds before its retry
             (timeouts retry at once).  ``0`` disables.
-        ledger: Optional completed-point ledger enabling checkpoint /
-            resume; pair with ``resume=True`` to pick up a previous run.
-        resume: Load ``ledger`` instead of truncating it; points it
-            records resolve from the cache with zero re-execution
-            (counted by ``sweep/resumed``).
         faults: Deterministic fault-injection plan (:mod:`repro.faults`),
             shipped inside each job.
         on_failure: ``"raise"`` (default) raises
@@ -498,8 +494,6 @@ class SweepRunner:
         timeout_s: float | None = None,
         retries: int = 0,
         backoff_s: float = 0.0,
-        ledger: SweepLedger | None = None,
-        resume: bool = False,
         faults: FaultPlan | None = None,
         on_failure: str = "raise",
     ) -> None:
@@ -518,8 +512,6 @@ class SweepRunner:
         self.timeout_s = timeout_s
         self.retries = retries
         self.backoff_s = backoff_s
-        self.ledger = ledger
-        self.resume = resume
         self.faults = faults
         self.on_failure = on_failure
         self.last_report: SweepReport | None = None
@@ -552,10 +544,8 @@ class SweepRunner:
             if self.faults is not None
             else self.cache
         )
-        resumed = self._prepare_ledger(points, total)
-        aggregator = (
-            TelemetryAggregator() if self.registry is not None else None
-        )
+        # point cache key -> (raw worker id, telemetry snapshot)
+        telemetry: dict[str, tuple[str, dict[str, object]]] = {}
 
         interrupted = False
         try:
@@ -566,14 +556,8 @@ class SweepRunner:
                 hit = self._lookup(cache, point)
                 if hit is not None:
                     outcomes[i] = _PointOutcome(
-                        point,
-                        hit,
-                        STATUS_CACHED,
-                        0,
-                        0.0,
-                        resumed=i in resumed,
+                        point, hit, STATUS_CACHED, 0, 0.0
                     )
-                    self._record_ledger(i, point, STATUS_CACHED)
                     self._emit_finished(outcomes[i], i, total)
                 else:
                     pending.append(i)
@@ -582,19 +566,15 @@ class SweepRunner:
                 outcomes[i] = outcome
                 if outcome.result is not None:
                     self._store(cache, points[i], outcome.result)
-                    self._record_ledger(i, points[i], outcome.status)
-                    if aggregator is not None:
-                        aggregator.ingest(
-                            points[i].cache_key(),
-                            outcome.telemetry,
-                            worker=outcome.worker,
-                            attempt=outcome.attempts,
+                    if outcome.telemetry is not None:
+                        telemetry[points[i].cache_key()] = (
+                            str(outcome.worker), outcome.telemetry,
                         )
                 self._emit_finished(outcome, i, total)
         except KeyboardInterrupt:
             # Pending futures were cancelled and workers stopped by the
             # executor generator's cleanup; completed points are already
-            # flushed to the cache and ledger.  Account for the rest.
+            # flushed to the cache.  Account for the rest.
             interrupted = True
 
         for i, point in enumerate(points):
@@ -609,13 +589,8 @@ class SweepRunner:
                 )
                 self._emit_finished(outcomes[i], i, total)
 
-        if aggregator is not None:
-            merged = aggregator.merge_into(self.registry)
-            if merged:
-                self.registry.counter("sweep/telemetry/snapshots").inc(merged)
-                self.registry.gauge("sweep/telemetry/workers").set(
-                    len(aggregator.workers())
-                )
+        if telemetry:
+            self._merge_telemetry(telemetry)
 
         report = SweepReport(
             total=total,
@@ -889,28 +864,29 @@ class SweepRunner:
             time.sleep(self.backoff_s * (2 ** (failure_number - 1)))
 
     # ------------------------------------------------------------------
-    # Ledger plumbing
-    # ------------------------------------------------------------------
-    def _prepare_ledger(
-        self, points: Sequence[SweepPoint], total: int
-    ) -> dict[int, str]:
-        if self.ledger is None:
-            return {}
-        grid = grid_fingerprint([p.cache_key() for p in points])
-        if self.resume:
-            completed = self.ledger.load(grid, total)
-            self.ledger.ensure_header(grid, total)
-            return completed
-        self.ledger.start(grid, total)
-        return {}
-
-    def _record_ledger(self, index: int, point: SweepPoint, status: str) -> None:
-        if self.ledger is not None:
-            self.ledger.record(index, point.cache_key(), status)
-
-    # ------------------------------------------------------------------
     # Cache + observability plumbing
     # ------------------------------------------------------------------
+    def _merge_telemetry(
+        self, telemetry: dict[str, tuple[str, dict[str, object]]]
+    ) -> None:
+        """Merge the resolved points' snapshots into the registry.
+
+        Sorted point-key order and dense worker labels (raw ids in
+        sorted order) make the rollups the same at any ``jobs``.
+        """
+        raw_ids = sorted({raw for raw, _snapshot in telemetry.values()})
+        workers = {raw: n for n, raw in enumerate(raw_ids)}
+        merged = merge_labeled_snapshots(
+            self.registry,
+            [
+                (workers[raw], snapshot)
+                for _key, (raw, snapshot) in sorted(telemetry.items())
+            ],
+            label="worker",
+        )
+        self.registry.counter("sweep/telemetry/snapshots").inc(merged)
+        self.registry.gauge("sweep/telemetry/workers").set(len(workers))
+
     def _lookup(self, cache, point: SweepPoint) -> SimulationResult | None:
         if cache is None:
             return None
@@ -970,8 +946,6 @@ class SweepRunner:
             self.registry.counter("sweep/points").inc()
             if outcome.status == STATUS_CACHED:
                 self.registry.counter("sweep/cache_hits").inc()
-                if outcome.resumed:
-                    self.registry.counter("sweep/resumed").inc()
             elif failed:
                 self.registry.counter("sweep/failed").inc()
             else:

@@ -29,12 +29,10 @@ from __future__ import annotations
 import argparse
 import asyncio
 import sys
-from pathlib import Path
 
 from repro.analysis import benchtrack, spans_report
 from repro.analysis.cache import ResultCache
 from repro.analysis.engine import SweepInterrupted, SweepRunner
-from repro.analysis.manifest import SweepLedger
 from repro.analysis.report import format_table
 from repro.core.config import ShadowConfig
 from repro.exit_codes import (
@@ -310,7 +308,7 @@ def _write_sweep_metrics(registry, args, workloads, configs) -> None:
         with open(args.metrics, "w") as stream:
             registry.write_json(stream, **meta)
         print(f"wrote merged sweep metrics (JSON): {args.metrics}")
-    if getattr(args, "metrics_prom", None):
+    if args.metrics_prom:
         with open(args.metrics_prom, "w") as stream:
             stream.write(render_prometheus(registry))
         print(f"wrote merged sweep metrics (Prometheus text): "
@@ -322,13 +320,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     configs = _build_sweep_configs(args)
 
     cache = None if args.no_cache else ResultCache(args.cache_dir)
-    ledger = (
-        SweepLedger(Path(args.cache_dir) / "sweep-ledger.jsonl")
-        if cache is not None
-        else None
-    )
-    if args.resume and ledger is None:
-        raise SystemExit("--resume needs the result cache (drop --no-cache)")
     bus = EventBus()
 
     reporter = ProgressReporter(sys.stdout) if args.live else None
@@ -357,7 +348,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     registry = (
         MetricsRegistry()
-        if args.metrics or getattr(args, "metrics_prom", None) else None
+        if args.metrics or args.metrics_prom else None
     )
     runner = SweepRunner(
         jobs=args.jobs,
@@ -367,8 +358,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         timeout_s=args.timeout,
         retries=args.retries,
         backoff_s=args.backoff,
-        ledger=ledger,
-        resume=args.resume,
         on_failure="report",
     )
     try:
@@ -379,8 +368,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             reporter.close()
         report = interrupt.report
         print(f"\ninterrupted -- {report.summary()}")
-        print("completed points are flushed; re-run with --resume to "
-              "finish without re-simulating them")
+        if cache is not None:
+            print("completed points are cached; run the same command "
+                  "again to finish without re-simulating them")
         if registry is not None:
             _write_sweep_metrics(registry, args, workloads, configs)
         return EXIT_INTERRUPTED
@@ -693,7 +683,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         slo_fatal=args.slo_fatal,
         metrics_port=args.metrics_port,
     )
-    registry = MetricsRegistry()
     open_files = []
     observer = None
     if args.adversary_trace:
@@ -734,7 +723,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
                 checkpoint_every=args.checkpoint_every,
                 access_timeout_s=args.shard_timeout_s,
                 max_respawns=args.max_respawns,
-                padded=not args.unpadded_dispatch,
             ),
             injector=injector,
             trace=shard_trace,
@@ -744,7 +732,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         config,
         seed=args.seed,
         settings=settings,
-        registry=registry,
         injector=injector,
         checkpointer=checkpointer,
         restore=args.restore,
@@ -789,8 +776,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
               f"{server.postmortem_path} -- replay with "
               f"'repro trace analyze {server.postmortem_path}'")
     if args.metrics_prom:
-        # Rendered before the fleet merge below mutates `registry`, or
-        # a sharded run would double-count its shard/<k>/ instruments.
         with open(args.metrics_prom, "w") as stream:
             stream.write(render_prometheus(server.export_registry()))
         print(f"wrote metrics (Prometheus text): {args.metrics_prom}")
@@ -799,7 +784,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         print("fleet report:")
         for key in sorted(report):
             print(f"  {key}: {report[key]}")
-        supervisor.export_metrics(registry)
     if injector is not None and injector.fired():
         print("fired faults (deterministic for this plan+seed):")
         for entry in injector.fired():
@@ -815,7 +799,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
               f"{args.shard_trace} ({len(shard_trace)} slots)")
     if args.metrics:
         with open(args.metrics, "w") as stream:
-            registry.write_json(
+            server.export_registry().write_json(
                 stream, **run_metadata(config, mode="serve", seed=args.seed)
             )
         print(f"wrote metrics (JSON): {args.metrics}")
@@ -1051,12 +1035,6 @@ def make_parser() -> argparse.ArgumentParser:
     common(sweep_p)
     sweep_flags(sweep_p)
     sweep_p.add_argument(
-        "--resume", action="store_true",
-        help="resume an interrupted sweep from the cache + completed-point "
-             "ledger (stored in the cache dir); completed points are not "
-             "re-simulated",
-    )
-    sweep_p.add_argument(
         "--metrics", metavar="FILE",
         help="aggregate per-worker telemetry and write the merged "
              "registry (cross-worker rollups + worker/<n>/ breakdown) "
@@ -1064,9 +1042,8 @@ def make_parser() -> argparse.ArgumentParser:
     )
     sweep_p.add_argument(
         "--metrics-prom", metavar="FILE",
-        help="also write the merged telemetry registry as Prometheus "
-             "text format (worker/<n>/ breakdowns become labeled "
-             "series); requires --metrics",
+        help="write the merged telemetry registry as Prometheus text "
+             "format (worker/<n>/ breakdowns become labeled series)",
     )
     sweep_p.add_argument(
         "--live", action="store_true",
@@ -1190,7 +1167,7 @@ def make_parser() -> argparse.ArgumentParser:
                               "bit-identical to the killed server's "
                               "last snapshot")
     serve_p.add_argument("--metrics", metavar="FILE",
-                         help="write the serve/* metrics registry as JSON "
+                         help="write the final merged registry as JSON "
                               "on exit")
     serve_p.add_argument("--adversary-trace", metavar="FILE",
                          help="dump the adversary-visible path sequence "
@@ -1233,10 +1210,6 @@ def make_parser() -> argparse.ArgumentParser:
     serve_p.add_argument("--shard-trace", metavar="FILE",
                          help="dump the adversary-visible inter-shard "
                               "dispatch stream (round, shard) as JSONL")
-    serve_p.add_argument("--unpadded-dispatch", action="store_true",
-                         help="insecure baseline: send each request only "
-                              "to its owning shard (leaks shard-locality; "
-                              "exists for the distinguisher tests)")
     serve_p.add_argument("--slo", metavar="SPEC",
                          help="rolling SLO thresholds as 'key=value,...', "
                               "e.g. p99_ms=50,shed_rate=0.05; evaluated "

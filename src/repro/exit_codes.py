@@ -11,8 +11,9 @@ constant                      code  meaning
 ============================  ====  ===============================================
 ``EXIT_OK``                      0  success
 ``EXIT_SWEEP_FAILED``            3  a sweep/faults run finished with failed or
-                                    unresolved grid points (``sweep --resume``
-                                    still owed points also exits 3)
+                                    unresolved grid points (re-running the
+                                    same sweep on the same cache executes
+                                    only those)
 ``EXIT_BENCH_REGRESSION``        4  ``bench --compare``: an end-to-end metric
                                     of the declared benchmark moved past its
                                     ``BENCHMARK.json`` bound in its worse
@@ -34,8 +35,9 @@ constant                      code  meaning
                                     printed no result line, or reported
                                     ``correct: false`` (the entry is still
                                     recorded)
-``EXIT_INTERRUPTED``           130  Ctrl-C; completed sweep points are flushed
-                                    and resumable
+``EXIT_INTERRUPTED``           130  Ctrl-C; completed sweep points are in the
+                                    result cache, so running the same sweep
+                                    again finishes it
 ============================  ====  ===============================================
 """
 

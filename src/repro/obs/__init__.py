@@ -14,7 +14,7 @@ reports about itself.  The components:
 * :mod:`repro.obs.timeline` — Chrome trace-event (Perfetto) export;
 * :mod:`repro.obs.log` — JSONL structured logging with run metadata;
 * :mod:`repro.obs.aggregate` — cross-process telemetry snapshots and the
-  per-worker/rollup merge used by parallel sweeps;
+  per-worker/rollup merge used by parallel sweeps and shard fleets;
 * :mod:`repro.obs.progress` — live sweep progress (TTY status line and
   machine-readable JSONL stream);
 * :mod:`repro.obs.slo` — rolling windowed SLO evaluation driving the
@@ -30,11 +30,7 @@ and no event objects are ever created.  A subscriber that takes only the
 span family leaves every other event family off (``EventBus._detail``).
 """
 
-from repro.obs.aggregate import (
-    TelemetryAggregator,
-    merge_snapshot,
-    snapshot_registry,
-)
+from repro.obs.aggregate import merge_snapshot, snapshot_registry
 from repro.obs.events import (
     EVENT_BY_NAME,
     EVENT_TYPES,
@@ -131,7 +127,6 @@ __all__ = [
     "SweepPointFinished",
     "SweepPointRetried",
     "SweepPointStarted",
-    "TelemetryAggregator",
     "TimelineBuilder",
     "event_from_dict",
     "event_to_dict",

@@ -1,4 +1,4 @@
-"""Cross-process telemetry aggregation for the sweep engine.
+"""Cross-process telemetry aggregation.
 
 The PR 1 observability layer only sees the process it runs in: once a
 sweep fans grid points out to ``ProcessPoolExecutor`` workers, every
@@ -9,21 +9,22 @@ dropped.  This module closes that gap:
   (fed by a private :class:`~repro.obs.metrics.MetricsCollector`) and
   ships a plain-dict :func:`snapshot_registry` snapshot back alongside
   its ``SimulationResult``;
-* the parent :class:`~repro.analysis.engine.SweepRunner` hands every
-  snapshot to a :class:`TelemetryAggregator`, keyed by the grid point's
-  cache fingerprint and attempt number — a retried point *replaces* its
-  earlier snapshot (last successful attempt wins), so crash/timeout
-  retries can never double-count;
-* at the end of the sweep the aggregator merges everything into the
-  parent registry twice: once under per-worker ``worker/<n>/...``
-  prefixes and once as un-prefixed cross-worker rollups, with merge
-  semantics per instrument type (counter sum, gauge watermark union,
-  histogram bucket add).
+* the parent :class:`~repro.analysis.engine.SweepRunner` keeps the
+  snapshot of every point that resolved to a result.  Only a point's one
+  successful attempt ships a snapshot, so crash/timeout retries can never
+  double-count;
+* at the end of the sweep :func:`merge_labeled_snapshots` merges them
+  into the parent registry twice: once under per-worker
+  ``worker/<n>/...`` prefixes and once as un-prefixed cross-worker
+  rollups, with merge semantics per instrument type (counter sum, gauge
+  watermark union, histogram bucket add).
 
-Merging iterates snapshots in sorted-fingerprint order and relabels raw
+The runner merges snapshots in sorted point-key order and relabels raw
 worker ids (PIDs) to dense ``worker/<n>`` indices, so the *rollup*
 instruments of a parallel sweep are bit-identical to a serial run of the
-same grid — only the per-worker breakdown depends on scheduling.
+same grid — only the per-worker breakdown depends on scheduling.  The
+sharded serve path merges its shard registries the same way, under
+``shard/<k>/`` plus a ``fleet/`` rollup.
 
 Snapshots are JSON-safe dicts rendered through the same canonical-codec
 conventions as :mod:`repro.serialize` (no ``inf``/``nan``, containers of
@@ -32,6 +33,8 @@ and JSON export.
 """
 
 from __future__ import annotations
+
+from typing import Iterable
 
 from repro.obs.metrics import MetricsRegistry
 
@@ -133,78 +136,23 @@ def merge_snapshot(
 
 def merge_labeled_snapshots(
     registry: MetricsRegistry,
-    snapshots: dict[object, dict[str, object]],
+    snapshots: Iterable[tuple[object, dict[str, object]]],
     label: str,
     rollup_prefix: str = "",
 ) -> int:
-    """Merge indexed snapshots under ``label/<index>/`` + one rollup.
+    """Merge ``(index, snapshot)`` pairs under ``label/<index>/`` + a rollup.
 
-    The sharded serve path uses this for its fleet telemetry: each
-    shard's registry snapshot lands once under ``shard/<n>/...`` (the
-    per-partition breakdown) and once under ``rollup_prefix`` (e.g.
-    ``fleet/...`` — counter sum / gauge watermark union / histogram
-    bucket add across the whole fleet).  Iteration is in sorted-index
-    order, so the rollup is deterministic regardless of which shard
-    finished what first.  Returns the number of snapshots merged.
+    Each snapshot lands once under ``label/<index>/...`` (the per-worker
+    or per-shard breakdown) and once under ``rollup_prefix`` (counter
+    sum / gauge watermark union / histogram bucket add across all of
+    them).  An index may repeat: its snapshots merge into one
+    ``label/<index>/`` breakdown.  Pairs merge in the order given, which
+    fixes every merged gauge's ``value``.  Returns the number of
+    snapshots merged.
     """
-    for index in sorted(snapshots, key=str):
-        snapshot = snapshots[index]
+    merged = 0
+    for index, snapshot in snapshots:
         merge_snapshot(registry, snapshot, prefix=f"{label}/{index}/")
         merge_snapshot(registry, snapshot, prefix=rollup_prefix)
-    return len(snapshots)
-
-
-class TelemetryAggregator:
-    """Collects per-point worker snapshots and merges them at sweep end.
-
-    ``ingest`` is keyed by the grid point's cache fingerprint: a later
-    (or equal) attempt for the same point replaces the earlier snapshot,
-    so a point that crashed mid-run and was retried contributes exactly
-    one snapshot — the last successful attempt's — to the merge.
-    """
-
-    def __init__(self) -> None:
-        # key -> (attempt, raw worker id, snapshot)
-        self._snapshots: dict[str, tuple[int, str, dict[str, object]]] = {}
-
-    def __len__(self) -> int:
-        return len(self._snapshots)
-
-    def ingest(
-        self,
-        key: str,
-        snapshot: dict[str, object],
-        worker: object = "0",
-        attempt: int = 1,
-    ) -> None:
-        """Record ``snapshot`` for grid point ``key``; later attempts win."""
-        prior = self._snapshots.get(key)
-        if prior is not None and prior[0] > attempt:
-            return
-        self._snapshots[key] = (attempt, str(worker), snapshot)
-
-    def workers(self) -> dict[str, int]:
-        """Dense ``raw id -> worker index`` relabeling (sorted raw ids)."""
-        raw = sorted({worker for _a, worker, _s in self._snapshots.values()})
-        return {worker: index for index, worker in enumerate(raw)}
-
-    def merge_into(
-        self, registry: MetricsRegistry, per_worker: bool = True
-    ) -> int:
-        """Merge every snapshot into ``registry``; returns snapshot count.
-
-        Rollup instruments keep their plain names (so a merged sweep
-        export lines up with a single ``run --metrics`` export); the
-        per-worker breakdown goes under ``worker/<n>/``.  Iteration is in
-        sorted-fingerprint order, making the rollup deterministic
-        regardless of completion order.
-        """
-        worker_ids = self.workers()
-        for key in sorted(self._snapshots):
-            _attempt, worker, snapshot = self._snapshots[key]
-            merge_snapshot(registry, snapshot)
-            if per_worker:
-                merge_snapshot(
-                    registry, snapshot, prefix=f"worker/{worker_ids[worker]}/"
-                )
-        return len(self._snapshots)
+        merged += 1
+    return merged

@@ -68,13 +68,6 @@ class ShardTraceObserver:
         """The shard index of every dispatch slot, in link order."""
         return [shard for _round, shard in self.events]
 
-    def dispatch_counts(self, num_shards: int) -> list[int]:
-        """Total slots addressed to each shard."""
-        counts = [0] * num_shards
-        for _round, shard in self.events:
-            counts[shard] += 1
-        return counts
-
     def __len__(self) -> int:
         return len(self.events)
 

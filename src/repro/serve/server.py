@@ -734,7 +734,6 @@ class OramServer:
             self.queue_highwater = depth
         if self.slo is not None:
             self.slo.observe_queue_depth(depth)
-        self.registry.gauge("serve/queue_depth").set(depth)
 
     # ------------------------------------------------------------------
     # Dispatch: the single consumer feeding the ORAM bridge
@@ -884,15 +883,18 @@ class OramServer:
     def export_registry(self) -> MetricsRegistry:
         """A merged scrape-time registry: serve/* plus shard breakdowns.
 
-        Built fresh per call (the ``--metrics-port`` provider), so the
-        endpoint never aliases live instruments and a sharded backend's
-        ``shard/<k>/...`` + ``fleet/...`` rollups are re-merged from the
-        current per-shard registries on every scrape.
+        Built fresh per call (the ``--metrics-port`` provider and the
+        ``--metrics``/``--metrics-prom`` files), so the endpoint never
+        aliases live instruments, ``serve/queue_depth`` reads the queue's
+        depth now, and a sharded backend's ``shard/<k>/...`` +
+        ``fleet/...`` rollups are re-merged from the current per-shard
+        registries on every scrape.
         """
         from repro.obs.aggregate import merge_snapshot, snapshot_registry
 
         merged = MetricsRegistry()
         merge_snapshot(merged, snapshot_registry(self.registry))
+        merged.gauge("serve/queue_depth").set(self._queue.qsize())
         if self._sharded:
             self.bridge.export_metrics(merged)
         return merged

@@ -625,7 +625,10 @@ class ShardSupervisor:
 
         merge_labeled_snapshots(
             registry,
-            {st.index: snapshot_registry(st.registry) for st in self._shards},
+            [
+                (st.index, snapshot_registry(st.registry))
+                for st in self._shards
+            ],
             label="shard",
             rollup_prefix="fleet/",
         )

@@ -4,8 +4,8 @@ import json
 
 import pytest
 
+from repro.analysis.engine import SweepRunner
 from repro.obs.aggregate import (
-    TelemetryAggregator,
     TelemetryMergeError,
     merge_labeled_snapshots,
     merge_snapshot,
@@ -51,10 +51,10 @@ class TestMergeLabeled:
         target = MetricsRegistry()
         merged = merge_labeled_snapshots(
             target,
-            {
-                0: snapshot_registry(make_registry(counter=5)),
-                1: snapshot_registry(make_registry(counter=7)),
-            },
+            [
+                (0, snapshot_registry(make_registry(counter=5))),
+                (1, snapshot_registry(make_registry(counter=7))),
+            ],
             label="shard",
             rollup_prefix="fleet/",
         )
@@ -64,18 +64,42 @@ class TestMergeLabeled:
         assert target.counter("fleet/c/events").value == 12
 
     def test_iteration_order_is_deterministic(self):
-        snaps = {
-            1: snapshot_registry(make_registry(counter=1)),
-            0: snapshot_registry(make_registry(counter=2)),
-        }
+        # Pairs merge in the order given: counters and histograms do not
+        # depend on it, and each gauge's value is the last pair's.
+        first = make_registry(counter=1, gauge_values=(4.0,))
+        second = make_registry(counter=2, gauge_values=(6.0,))
+        snaps = [
+            (1, snapshot_registry(first)), (0, snapshot_registry(second)),
+        ]
         a = MetricsRegistry()
         merge_labeled_snapshots(a, snaps, label="w", rollup_prefix="all/")
         b = MetricsRegistry()
         merge_labeled_snapshots(
-            b, dict(reversed(list(snaps.items()))), label="w",
-            rollup_prefix="all/",
+            b, list(reversed(snaps)), label="w", rollup_prefix="all/"
         )
-        assert a.to_dict() == b.to_dict()
+        assert a.to_dict()["counters"] == b.to_dict()["counters"]
+        assert a.to_dict()["histograms"] == b.to_dict()["histograms"]
+        assert a.gauge("all/g/depth").value == 6.0
+        assert b.gauge("all/g/depth").value == 4.0
+
+    def test_repeated_index_merges_into_one_breakdown(self):
+        target = MetricsRegistry()
+        merged = merge_labeled_snapshots(
+            target,
+            [
+                (0, snapshot_registry(make_registry(counter=5))),
+                (1, snapshot_registry(make_registry(counter=7))),
+                (0, snapshot_registry(make_registry(counter=11))),
+            ],
+            label="worker",
+        )
+        assert merged == 3
+        counters = target.to_dict()["counters"]
+        assert counters == {
+            "c/events": 23, "worker/0/c/events": 16, "worker/1/c/events": 7,
+        }
+        assert target.histogram("worker/0/h/lat").total == 4
+        assert target.gauge("worker/0/g/depth").updates == 4
 
 
 class TestMergeSemantics:
@@ -137,58 +161,38 @@ class TestMergeSemantics:
 
 
 class TestAggregator:
-    def test_later_attempt_replaces_earlier(self):
-        agg = TelemetryAggregator()
-        agg.ingest("pt", snapshot_registry(make_registry(counter=100)),
-                   worker="111", attempt=1)
-        agg.ingest("pt", snapshot_registry(make_registry(counter=5)),
-                   worker="222", attempt=2)
-        reg = MetricsRegistry()
-        assert agg.merge_into(reg) == 1
-        assert reg.counter("c/events").value == 5
-
-    def test_earlier_attempt_does_not_replace_later(self):
-        agg = TelemetryAggregator()
-        agg.ingest("pt", snapshot_registry(make_registry(counter=5)),
-                   worker="1", attempt=2)
-        agg.ingest("pt", snapshot_registry(make_registry(counter=100)),
-                   worker="1", attempt=1)
-        reg = MetricsRegistry()
-        agg.merge_into(reg)
-        assert reg.counter("c/events").value == 5
+    """The sweep runner's merge of its resolved points' snapshots."""
 
     def test_worker_relabeling_is_dense_and_sorted(self):
-        agg = TelemetryAggregator()
-        agg.ingest("a", snapshot_registry(make_registry()), worker="9731")
-        agg.ingest("b", snapshot_registry(make_registry()), worker="104")
-        assert agg.workers() == {"104": 0, "9731": 1}
         reg = MetricsRegistry()
-        agg.merge_into(reg)
+        SweepRunner(registry=reg)._merge_telemetry({
+            "a": ("9731", snapshot_registry(make_registry(counter=1))),
+            "b": ("104", snapshot_registry(make_registry(counter=2))),
+        })
         counters = reg.to_dict()["counters"]
-        assert "worker/0/c/events" in counters
-        assert "worker/1/c/events" in counters
+        assert counters["worker/0/c/events"] == 2  # raw id "104"
+        assert counters["worker/1/c/events"] == 1  # raw id "9731"
+        assert reg.gauge("sweep/telemetry/workers").value == 2
+        assert reg.counter("sweep/telemetry/snapshots").value == 2
 
     def test_rollup_independent_of_ingest_order(self):
         def merged(keys):
-            agg = TelemetryAggregator()
+            telemetry = {}
             for i, key in enumerate(keys):
                 # Snapshot content is a function of the point (key), the
                 # worker that ran it a function of scheduling (i).
-                agg.ingest(key, snapshot_registry(
+                telemetry[key] = (str(i), snapshot_registry(
                     make_registry(counter=ord(key), gauge_values=(float(ord(key)),))
-                ), worker=str(i))
+                ))
             reg = MetricsRegistry()
-            agg.merge_into(reg, per_worker=False)
-            return json.dumps(reg.to_dict(), sort_keys=True)
+            SweepRunner(registry=reg)._merge_telemetry(telemetry)
+            rollups = {
+                kind: {
+                    name: value for name, value in instruments.items()
+                    if not name.startswith("worker/")
+                }
+                for kind, instruments in reg.to_dict().items()
+            }
+            return json.dumps(rollups, sort_keys=True)
 
         assert merged(["a", "b", "c"]) == merged(["c", "a", "b"])
-
-    def test_per_worker_can_be_disabled(self):
-        agg = TelemetryAggregator()
-        agg.ingest("a", snapshot_registry(make_registry()), worker="7")
-        reg = MetricsRegistry()
-        agg.merge_into(reg, per_worker=False)
-        assert all(
-            not name.startswith("worker/")
-            for name in reg.to_dict()["counters"]
-        )

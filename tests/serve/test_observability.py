@@ -236,6 +236,9 @@ class TestMetricsEndpointIntegration:
             )
             assert "repro_serve_served 3" in body
             assert "repro_serve_latency_wall_ms_count 3" in body
+            # Every request was answered, so the live queue is empty.
+            assert server._queue.qsize() == 0
+            assert "repro_serve_queue_depth 0" in body.splitlines()
             writer.close()
             await drain_and_stop(server)
 
