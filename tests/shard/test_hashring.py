@@ -1,8 +1,13 @@
 """Tests for the consistent-hash placement of the fleet address space."""
 
+import hashlib
+import json
+
 import pytest
 
+from repro.oram.config import OramConfig
 from repro.shard import HashRing, HashRingError
+from repro.shard.hashring import _point
 
 
 class TestDeterminism:
@@ -24,13 +29,28 @@ class TestDeterminism:
         # record shard-local addresses), so it must never drift between
         # releases.  Pin a tiny ring's full owner map.
         ring = HashRing(2, space=8, capacity=8, vnodes=4, salt="pin")
-        assert [ring.shard_of(a) for a in range(8)] == [
-            ring.shard_of(a) for a in range(8)
-        ]
-        again = HashRing(2, space=8, capacity=8, vnodes=4, salt="pin")
-        assert [ring.shard_of(a) for a in range(8)] == [
-            again.shard_of(a) for a in range(8)
-        ]
+        assert [ring.shard_of(a) for a in range(8)] == [1, 1, 0, 1, 0, 1, 1, 0]
+        assert ring.assignments == ((2, 4, 7), (0, 1, 3, 5, 6))
+
+    def test_default_fleet_placement_is_stable(self):
+        # The fleet `repro serve --shards 4` builds: owners, assignments
+        # and local indices of all 139,257 addresses.
+        ring = HashRing.fit(4, capacity=OramConfig().num_blocks)
+        assert ring.space == 139_257
+        owners = [ring.shard_of(a) for a in range(ring.space)]
+        local = [ring.local_of(a) for a in range(ring.space)]
+        blob = json.dumps([owners, ring.assignments, local], separators=(",", ":"))
+        assert hashlib.sha256(blob.encode()).hexdigest() == (
+            "8aa55d4645e6cb879c9d735ca0979e3657c1d9901c0548a6a45d68d854c86bda"
+        )
+
+    def test_dummy_slot_points_are_stable(self):
+        # Padded rounds read the dummy address _point("dummy", seed, shard,
+        # log length) picks; intent logs record it.
+        assert _point("dummy", 1, 0, 0) == 1141817825030529707
+        assert _point("dummy", 1, 0, 1) == 13638691918214157987
+        assert _point("dummy", 1, 1, 7) == 11829224305584892535
+        assert _point("dummy", 1, 3, 123) == 4535039057793643767
 
 
 class TestPlacementInvariants:
