@@ -53,26 +53,19 @@ from repro.faults import (
     PosmapCorrupt,
     RuntimeInvariants,
 )
-from repro.obs.events import SweepPointFailed, SweepPointFinished
-from repro.obs import (
-    AdversaryTraceWriter,
-    EventBus,
+from repro.obs.events import EventBus, SweepPointFailed, SweepPointFinished
+from repro.obs.export import render_prometheus
+from repro.obs.flightrec import (
     FlightRecorder,
-    JsonlLogger,
-    MetricsCollector,
-    MetricsRegistry,
-    ProgressJsonlWriter,
-    ProgressReporter,
-    SpanTracer,
-    TimelineBuilder,
     is_postmortem,
     load_postmortem_traces,
-    load_traces,
-    parse_sample_spec,
-    parse_slo_spec,
-    render_prometheus,
-    run_metadata,
 )
+from repro.obs.log import AdversaryTraceWriter, JsonlLogger, run_metadata
+from repro.obs.metrics import MetricsCollector, MetricsRegistry
+from repro.obs.progress import ProgressJsonlWriter, ProgressReporter
+from repro.obs.slo import parse_slo_spec
+from repro.obs.spans import SpanTracer, load_traces, parse_sample_spec
+from repro.obs.timeline import TimelineBuilder
 from repro.oram.config import OramConfig
 from repro.oram.integrity import IntegrityError
 from repro.system.checkpoint import Checkpointer

@@ -28,123 +28,8 @@ Observability is strictly opt-in: with no subscribers attached the
 instrumented hot paths reduce to one attribute test per emission site
 and no event objects are ever created.  A subscriber that takes only the
 span family leaves every other event family off (``EventBus._detail``).
+
+The package re-exports nothing: import from the submodule that defines a
+name.  A simulation then loads :mod:`repro.obs.events` alone, not the
+serving stack's exporters (``asyncio``, ``ssl``) it never runs.
 """
-
-from repro.obs.aggregate import merge_snapshot, snapshot_registry
-from repro.obs.events import (
-    EVENT_BY_NAME,
-    EVENT_TYPES,
-    BlockServed,
-    DuplicationPlaced,
-    EventBus,
-    HotAddressTouched,
-    PartitionAdjusted,
-    RequestCompleted,
-    ServeRequestServed,
-    ShardRecovered,
-    SloStateChanged,
-    SlotAligned,
-    SpanFinished,
-    SpanStarted,
-    StashOccupancy,
-    SweepPointFailed,
-    SweepPointFinished,
-    SweepPointRetried,
-    SweepPointStarted,
-    event_from_dict,
-    event_to_dict,
-)
-from repro.obs.export import (
-    MetricsEndpoint,
-    render_json_lines,
-    render_prometheus,
-)
-from repro.obs.flightrec import (
-    FlightRecorder,
-    is_postmortem,
-    load_postmortem,
-    load_postmortem_traces,
-    traces_from_events,
-)
-from repro.obs.log import (
-    AdversaryTraceWriter,
-    JsonlLogger,
-    load_events,
-    run_metadata,
-)
-from repro.obs.metrics import MetricsCollector, MetricsRegistry
-from repro.obs.progress import (
-    ProgressJsonlWriter,
-    ProgressReporter,
-    SweepProgress,
-)
-from repro.obs.slo import SloMonitor, parse_slo_spec
-from repro.obs.spans import (
-    SPAN_PHASES,
-    Span,
-    SpanTrace,
-    SpanTracer,
-    exclusive_by_phase,
-    load_traces,
-    parse_sample_spec,
-    render_tree,
-    top_slowest,
-    validate_trace,
-)
-from repro.obs.timeline import TimelineBuilder
-
-__all__ = [
-    "AdversaryTraceWriter",
-    "BlockServed",
-    "EVENT_BY_NAME",
-    "EVENT_TYPES",
-    "DuplicationPlaced",
-    "EventBus",
-    "FlightRecorder",
-    "HotAddressTouched",
-    "JsonlLogger",
-    "MetricsCollector",
-    "MetricsEndpoint",
-    "MetricsRegistry",
-    "PartitionAdjusted",
-    "ProgressJsonlWriter",
-    "ProgressReporter",
-    "RequestCompleted",
-    "SPAN_PHASES",
-    "ServeRequestServed",
-    "ShardRecovered",
-    "SloMonitor",
-    "SloStateChanged",
-    "SlotAligned",
-    "Span",
-    "SpanFinished",
-    "SpanStarted",
-    "SpanTrace",
-    "SpanTracer",
-    "StashOccupancy",
-    "SweepProgress",
-    "SweepPointFailed",
-    "SweepPointFinished",
-    "SweepPointRetried",
-    "SweepPointStarted",
-    "TimelineBuilder",
-    "event_from_dict",
-    "event_to_dict",
-    "exclusive_by_phase",
-    "is_postmortem",
-    "load_events",
-    "load_postmortem",
-    "load_postmortem_traces",
-    "load_traces",
-    "merge_snapshot",
-    "parse_sample_spec",
-    "parse_slo_spec",
-    "render_json_lines",
-    "render_prometheus",
-    "render_tree",
-    "run_metadata",
-    "snapshot_registry",
-    "top_slowest",
-    "traces_from_events",
-    "validate_trace",
-]

@@ -18,7 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.faults import FaultPlan
-from repro.obs import EventBus, MetricsCollector
+from repro.obs.events import EventBus
+from repro.obs.metrics import MetricsCollector
 from repro.oram.config import OramConfig
 from repro.oram.integrity import IntegrityError
 from repro.system.checkpoint import Checkpointer

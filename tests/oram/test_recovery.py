@@ -4,7 +4,8 @@ from random import Random
 
 import pytest
 
-from repro.obs import EventBus, MetricsCollector
+from repro.obs.events import EventBus
+from repro.obs.metrics import MetricsCollector
 from repro.oram.block import Block
 from repro.oram.config import OramConfig
 from repro.oram.integrity import IntegrityError, MerkleTree, _slot_digest

@@ -14,7 +14,7 @@ import pytest
 
 from repro.faults import FaultPlan
 from repro.faults.injector import FleetFailed, ShardDied, ShardUnavailable
-from repro.obs import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 from repro.oram.config import OramConfig
 from repro.shard import ShardSettings, ShardSupervisor
 from repro.system.config import SystemConfig
