@@ -87,21 +87,34 @@ class HashRing:
         self.vnodes = vnodes
         self.salt = salt
 
-        points: list[tuple[int, int]] = []
-        for shard in range(num_shards):
-            for v in range(vnodes):
-                points.append((_point(salt, "node", shard, v), shard))
-        points.sort()
+        # Ring keys are the 8-byte big-endian points.  An address's full
+        # 32-byte digest bisects against them exactly as its 64-bit
+        # ``_point`` would: the first 8 bytes decide, and a digest that
+        # starts with a key sorts after it, as an equal point does under
+        # bisect_right.
+        points = sorted(
+            (_point(salt, "node", shard, v).to_bytes(8, "big"), shard)
+            for shard in range(num_shards)
+            for v in range(vnodes)
+        )
         ring_keys = [key for key, _ in points]
-        ring_shards = [shard for _, shard in points]
+        # A point past the last key wraps to the first shard point.
+        ring_shards = [shard for _, shard in points] + [points[0][1]]
 
-        owners: list[int] = []
+        prefix = f"{salt}:addr:".encode()
+        sha256 = hashlib.sha256
+        bisect_right = bisect.bisect_right
+        owners = [
+            ring_shards[bisect_right(ring_keys, sha256(prefix + b"%d" % addr).digest())]
+            for addr in range(space)
+        ]
         buckets: list[list[int]] = [[] for _ in range(num_shards)]
-        for addr in range(space):
-            idx = bisect.bisect_right(ring_keys, _point(salt, "addr", addr))
-            shard = ring_shards[idx % len(ring_shards)]
-            owners.append(shard)
-            buckets[shard].append(addr)
+        # addr -> dense local index within its shard's sorted assignment.
+        local: list[int] = []
+        for addr, shard in enumerate(owners):
+            bucket = buckets[shard]
+            local.append(len(bucket))
+            bucket.append(addr)
 
         for shard, bucket in enumerate(buckets):
             if not bucket:
@@ -119,11 +132,6 @@ class HashRing:
             tuple(bucket) for bucket in buckets
         )
         self._owner = owners
-        # addr -> dense local index within its shard's sorted assignment.
-        local = [0] * space
-        for bucket in buckets:
-            for rank, addr in enumerate(bucket):
-                local[addr] = rank
         self._local = local
 
     # ------------------------------------------------------------------
