@@ -544,8 +544,15 @@ class SweepRunner:
             if self.faults is not None
             else self.cache
         )
-        # point cache key -> (raw worker id, telemetry snapshot)
-        telemetry: dict[str, tuple[str, dict[str, object]]] = {}
+        keys = [point.cache_key() for point in points]
+        # Telemetry merges in grid order, each distinct point at its
+        # first index: cache keys hash the source tree, so their order
+        # moves with any edit.
+        first: dict[str, int] = {}
+        for i, key in enumerate(keys):
+            first.setdefault(key, i)
+        # first grid index -> (raw worker id, telemetry snapshot)
+        telemetry: dict[int, tuple[str, dict[str, object]]] = {}
 
         interrupted = False
         try:
@@ -553,7 +560,7 @@ class SweepRunner:
             pending: list[int] = []
             for i, point in enumerate(points):
                 self._emit_started(point, i, total)
-                hit = self._lookup(cache, point)
+                hit = self._lookup(cache, keys[i])
                 if hit is not None:
                     outcomes[i] = _PointOutcome(
                         point, hit, STATUS_CACHED, 0, 0.0
@@ -565,9 +572,9 @@ class SweepRunner:
             for i, outcome in self._execute(points, pending):
                 outcomes[i] = outcome
                 if outcome.result is not None:
-                    self._store(cache, points[i], outcome.result)
+                    self._store(cache, keys[i], outcome.result)
                     if outcome.telemetry is not None:
-                        telemetry[points[i].cache_key()] = (
+                        telemetry[first[keys[i]]] = (
                             str(outcome.worker), outcome.telemetry,
                         )
                 self._emit_finished(outcome, i, total)
@@ -867,12 +874,13 @@ class SweepRunner:
     # Cache + observability plumbing
     # ------------------------------------------------------------------
     def _merge_telemetry(
-        self, telemetry: dict[str, tuple[str, dict[str, object]]]
+        self, telemetry: dict[int, tuple[str, dict[str, object]]]
     ) -> None:
         """Merge the resolved points' snapshots into the registry.
 
-        Sorted point-key order and dense worker labels (raw ids in
-        sorted order) make the rollups the same at any ``jobs``.
+        Sorted key (first grid index) order and dense worker labels (raw
+        ids in sorted order) make the rollups, gauge values included,
+        the same at any ``jobs`` and under any code fingerprint.
         """
         raw_ids = sorted({raw for raw, _snapshot in telemetry.values()})
         workers = {raw: n for n, raw in enumerate(raw_ids)}
@@ -880,21 +888,21 @@ class SweepRunner:
             self.registry,
             [
                 (workers[raw], snapshot)
-                for _key, (raw, snapshot) in sorted(telemetry.items())
+                for _index, (raw, snapshot) in sorted(telemetry.items())
             ],
             label="worker",
         )
         self.registry.counter("sweep/telemetry/snapshots").inc(merged)
         self.registry.gauge("sweep/telemetry/workers").set(len(workers))
 
-    def _lookup(self, cache, point: SweepPoint) -> SimulationResult | None:
+    def _lookup(self, cache, key: str) -> SimulationResult | None:
         if cache is None:
             return None
-        return cache.get(point.cache_key())
+        return cache.get(key)
 
-    def _store(self, cache, point: SweepPoint, result: SimulationResult) -> None:
+    def _store(self, cache, key: str, result: SimulationResult) -> None:
         if cache is not None:
-            if not cache.put(point.cache_key(), result):
+            if not cache.put(key, result):
                 self._count("cache/put_errors")
 
     def _count(self, name: str) -> None:

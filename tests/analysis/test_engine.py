@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro.analysis.cache as cache_mod
 from repro.analysis.cache import ResultCache
 from repro.analysis.engine import (
     SweepPoint,
@@ -146,6 +147,27 @@ class TestObservability:
         assert registry.counter("sweep/executed").value == 1
         assert registry.counter("sweep/cache_hits").value == 1
         assert registry.counter("sweep/cache_misses").value == 1
+
+    def test_rollups_do_not_move_with_the_code_fingerprint(self, monkeypatch):
+        # Cache keys hash the source tree, so any edit reorders them; the
+        # merged gauges' values must not follow that order.
+        configs = [
+            SystemConfig.tiny(oram=SMALL),
+            SystemConfig.dynamic(3, oram=SMALL),
+        ]
+        points = build_grid(configs, WORKLOADS, 1000, seed=1)
+
+        def run(fingerprint):
+            monkeypatch.setattr(cache_mod, "code_fingerprint", lambda: fingerprint)
+            keys = [p.cache_key() for p in points]
+            registry = MetricsRegistry()
+            SweepRunner(jobs=1, registry=registry).run_points(points)
+            return sorted(range(len(points)), key=keys.__getitem__), registry
+
+        order_a, a = run("before")
+        order_b, b = run("after")
+        assert order_a[-1] != order_b[-1]
+        assert a.to_dict() == b.to_dict()
 
 
 class TestRunnerFallbacks:
