@@ -21,11 +21,12 @@ result: ``correct``, ``attempted``, ``failed`` and ``metrics`` (name ->
 from __future__ import annotations
 
 import json
-import os
 import re
 import socket
 import subprocess
 from pathlib import Path
+
+from repro.serialize import atomic_write
 
 DEFAULT_HISTORY_DIR = Path("benchmarks") / "results"
 BENCHMARK_FILE = Path("BENCHMARK.json")
@@ -71,8 +72,9 @@ class BenchHistory:
     """Append-only per-host benchmark history (``BENCH_<host>.json``).
 
     The file holds ``{"schema": 2, "entries": [...]}``, oldest entry
-    first.  Appends are a read-modify-write with an atomic
-    ``os.replace``, so a crashed bench run never leaves a torn file.
+    first.  Appends are a read-modify-write published by
+    :func:`~repro.serialize.atomic_write`, so a crashed bench run never
+    leaves a torn file.
     """
 
     SCHEMA = 2
@@ -105,12 +107,10 @@ class BenchHistory:
         entries = self.load()
         entries.append(entry)
         self.directory.mkdir(parents=True, exist_ok=True)
-        tmp = self.path.with_suffix(".json.tmp")
-        with open(tmp, "w") as stream:
+        with atomic_write(self.path) as stream:
             json.dump({"schema": self.SCHEMA, "entries": entries}, stream,
                       indent=2)
             stream.write("\n")
-        os.replace(tmp, self.path)
         return len(entries)
 
 

@@ -25,11 +25,12 @@ under this code: every resolved point is stored as it completes, so
 re-running an interrupted or partly failed sweep with the same cache
 re-executes only the points that have no entry.
 
-Entries are JSON files written atomically (temp file + ``os.replace``)
-under two-level fan-out directories, safe for concurrent writers: the
-worst case for two processes racing on the same key is one wasted
-simulation, never a torn file.  Corrupt or unreadable entries are treated
-as misses and overwritten.
+Entries are JSON files written atomically
+(:func:`repro.serialize.atomic_write`) under two-level fan-out
+directories, safe for concurrent writers: the worst case for two
+processes racing on the same key is one wasted simulation, never a torn
+file.  Corrupt or unreadable entries are treated as misses and
+overwritten.
 """
 
 from __future__ import annotations
@@ -37,13 +38,11 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-import os
-import tempfile
 import warnings
 from pathlib import Path
 from typing import Callable
 
-from repro.serialize import SCHEMA_VERSION, stable_hash
+from repro.serialize import SCHEMA_VERSION, atomic_write, stable_hash
 from repro.system.metrics import SimulationResult
 
 
@@ -158,19 +157,13 @@ class ResultCache:
         if self.write_disabled:
             return False
         path = self.path_for(key)
-        tmp = None
         try:
             if self.fault_hook is not None:
                 self.fault_hook()
             path.parent.mkdir(parents=True, exist_ok=True)
             payload = {"schema": SCHEMA_VERSION, "result": result.to_dict()}
-            fd, tmp = tempfile.mkstemp(
-                dir=path.parent, prefix=path.name, suffix=".tmp"
-            )
-            with os.fdopen(fd, "w") as stream:
+            with atomic_write(path) as stream:
                 json.dump(payload, stream)
-            os.replace(tmp, path)
-            tmp = None
         except OSError as exc:
             self.put_errors += 1
             self.write_disabled = True
@@ -182,12 +175,6 @@ class ResultCache:
                 stacklevel=2,
             )
             return False
-        finally:
-            if tmp is not None:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
         self.stores += 1
         return True
 

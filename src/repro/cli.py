@@ -22,19 +22,20 @@ Python.  The ``--trace``/``--events``/``--metrics``/``--adversary-trace``
 flags attach :mod:`repro.obs` subscribers to the run and export a Perfetto
 timeline, a JSONL event log, a metrics JSON, and the adversary-visible
 path sequence respectively.
+
+The module top imports only what the parser and the shared helpers need;
+each command imports the rest in its own body, so ``repro serve`` never
+loads the sweep engine and ``repro run`` never loads ``asyncio``.
 """
 
 from __future__ import annotations
 
 import argparse
-import asyncio
+import contextlib
+import json
 import sys
 
-from repro.analysis import benchtrack, spans_report
-from repro.analysis.cache import ResultCache
-from repro.analysis.engine import SweepInterrupted, SweepRunner
 from repro.analysis.report import format_table
-from repro.core.config import ShadowConfig
 from repro.exit_codes import (
     EXIT_BENCH_INCORRECT,
     EXIT_BENCH_REGRESSION,
@@ -44,35 +45,19 @@ from repro.exit_codes import (
     EXIT_SWEEP_FAILED,
     EXIT_TRACE_INVALID,
 )
-from repro.faults import (
-    FAULT_KINDS,
-    BitFlip,
-    FaultPlan,
-    FaultSpecError,
-    InvariantViolation,
-    PosmapCorrupt,
-    RuntimeInvariants,
+from repro.obs.events import EventBus
+from repro.obs.log import (
+    AdversaryTraceWriter,
+    JsonlLogger,
+    git_describe,
+    run_metadata,
 )
-from repro.obs.events import EventBus, SweepPointFailed, SweepPointFinished
-from repro.obs.export import render_prometheus
-from repro.obs.flightrec import (
-    FlightRecorder,
-    is_postmortem,
-    load_postmortem_traces,
-)
-from repro.obs.log import AdversaryTraceWriter, JsonlLogger, run_metadata
-from repro.obs.metrics import MetricsCollector, MetricsRegistry
-from repro.obs.progress import ProgressJsonlWriter, ProgressReporter
-from repro.obs.slo import parse_slo_spec
-from repro.obs.spans import SpanTracer, load_traces, parse_sample_spec
-from repro.obs.timeline import TimelineBuilder
 from repro.oram.config import OramConfig
-from repro.oram.integrity import IntegrityError
 from repro.system.checkpoint import Checkpointer
 from repro.system.config import SystemConfig, named_config
-from repro.system.overhead import estimate_overhead
 from repro.system.simulator import simulate
 from repro.workloads.spec import WORKLOADS, workload_names
+
 
 def build_config(args: argparse.Namespace) -> SystemConfig:
     """Translate CLI flags into a :class:`SystemConfig`."""
@@ -113,6 +98,10 @@ def _result_rows(result) -> list[list[object]]:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    from repro.obs.metrics import MetricsCollector
+    from repro.obs.spans import SpanTracer, parse_sample_spec
+    from repro.obs.timeline import TimelineBuilder
+
     config = build_config(args)
     print(f"config: {config.describe()}")
     if args.restore and not args.checkpoint_dir:
@@ -131,29 +120,23 @@ def cmd_run(args: argparse.Namespace) -> int:
         if args.spans
         else None
     )
-    open_files = []
     observer = None
     written = []
-    try:
+    with contextlib.ExitStack() as files:
         if args.events:
-            stream = open(args.events, "w")
-            open_files.append(stream)
-            logger = JsonlLogger(stream)
+            logger = JsonlLogger(files.enter_context(open(args.events, "w")))
             logger.write_record(meta)
             logger.attach(bus)
             written.append(("event log (JSONL)", args.events))
         if args.adversary_trace:
-            stream = open(args.adversary_trace, "w")
-            open_files.append(stream)
-            observer = AdversaryTraceWriter(stream)
+            observer = AdversaryTraceWriter(
+                files.enter_context(open(args.adversary_trace, "w"))
+            )
             observer.logger.write_record(meta)
             written.append(("adversary trace (JSONL)", args.adversary_trace))
         result = simulate(config, args.workload, num_requests=args.requests,
                           seed=args.seed, bus=bus, observer=observer,
                           checkpointer=checkpointer, restore=args.restore)
-    finally:
-        for stream in open_files:
-            stream.close()
     print(format_table(["metric", "value"], _result_rows(result),
                        title="Simulation result"))
     if checkpointer is not None:
@@ -183,15 +166,18 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
+    from repro.analysis import spans_report
+
     config = build_config(args)
     print(f"config: {config.describe()}")
     totals, result = spans_report.host_profile(
         config, args.workload, num_requests=args.requests, seed=args.seed
     )
     total = sum(totals.values()) or 1e-12
+    ranked = sorted(totals.items(), key=lambda kv: -kv[1])
     rows = [
         [stage, f"{seconds:.3f}", f"{seconds / total:.1%}"]
-        for stage, seconds in sorted(totals.items(), key=lambda kv: -kv[1])
+        for stage, seconds in ranked
     ]
     rows.append(["total", f"{total:.3f}", "100.0%"])
     print(format_table(
@@ -201,8 +187,6 @@ def cmd_profile(args: argparse.Namespace) -> int:
     print(f"simulated {result.llc_misses} LLC misses "
           f"({result.total_cycles:,.0f} cycles) in {total:.3f}s host time")
     if args.json:
-        import json
-
         payload = {
             "scheme": config.name,
             "workload": args.workload,
@@ -213,9 +197,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
             "host_seconds": total,
             "stages": {
                 stage: {"seconds": seconds, "share": seconds / total}
-                for stage, seconds in sorted(
-                    totals.items(), key=lambda kv: -kv[1]
-                )
+                for stage, seconds in ranked
             },
         }
         with open(args.json, "w") as stream:
@@ -226,6 +208,8 @@ def cmd_profile(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
+    from repro.analysis.engine import SweepRunner
+
     args.schemes = f"insecure,tiny,rd-dup,hd-dup,dynamic-{args.width}"
     configs = _build_sweep_configs(args)
     sweep = SweepRunner(jobs=1).run_grid(
@@ -277,42 +261,47 @@ def _build_sweep_configs(args: argparse.Namespace) -> list[SystemConfig]:
     return configs
 
 
-def _print_sweep_failures(report) -> None:
-    for point in report.failures():
-        print(f"  FAILED {point.workload}/{point.scheme}: "
-              f"{point.status} after {point.attempts} attempt(s)"
-              + (f" ({point.error})" if point.error else ""))
+def _sweep_runner(args: argparse.Namespace, **kwargs):
+    """The sweep engine under the flags ``sweep`` and ``faults`` share."""
+    from repro.analysis.cache import ResultCache
+    from repro.analysis.engine import SweepRunner
 
-
-# Exit codes live in :mod:`repro.exit_codes` (the single documented
-# table); re-exported at the historical location for callers that import
-# them from here.
-
-
-def _write_sweep_metrics(registry, args, workloads, configs) -> None:
-    meta = run_metadata(
-        workloads=",".join(workloads),
-        schemes=",".join(config.name for config in configs),
-        requests=args.requests,
-        seed=args.seed,
+    return SweepRunner(
         jobs=args.jobs,
+        cache=None if args.no_cache else ResultCache(args.cache_dir),
+        timeout_s=args.timeout,
+        retries=args.retries,
+        backoff_s=args.backoff,
+        on_failure="report",
+        **kwargs,
     )
+
+
+def _write_registry(registry, args: argparse.Namespace, label: str,
+                    *meta_args, **meta_fields) -> None:
+    """Write ``registry`` to ``--metrics`` (JSON, headed by run metadata
+    built from ``meta_args``/``meta_fields``) and ``--metrics-prom``."""
     if args.metrics:
         with open(args.metrics, "w") as stream:
-            registry.write_json(stream, **meta)
-        print(f"wrote merged sweep metrics (JSON): {args.metrics}")
+            registry.write_json(stream, **run_metadata(*meta_args,
+                                                       **meta_fields))
+        print(f"wrote {label} (JSON): {args.metrics}")
     if args.metrics_prom:
+        from repro.obs.export import render_prometheus
+
         with open(args.metrics_prom, "w") as stream:
             stream.write(render_prometheus(registry))
-        print(f"wrote merged sweep metrics (Prometheus text): "
-              f"{args.metrics_prom}")
+        print(f"wrote {label} (Prometheus text): {args.metrics_prom}")
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    from repro.analysis.engine import SweepInterrupted
+    from repro.obs.events import SweepPointFailed, SweepPointFinished
+    from repro.obs.metrics import MetricsRegistry
+    from repro.obs.progress import ProgressJsonlWriter, ProgressReporter
+
     workloads = _parse_workloads(args.workloads)
     configs = _build_sweep_configs(args)
-
-    cache = None if args.no_cache else ResultCache(args.cache_dir)
     bus = EventBus()
 
     reporter = ProgressReporter(sys.stdout) if args.live else None
@@ -343,16 +332,20 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         MetricsRegistry()
         if args.metrics or args.metrics_prom else None
     )
-    runner = SweepRunner(
-        jobs=args.jobs,
-        cache=cache,
-        bus=bus,
-        registry=registry,
-        timeout_s=args.timeout,
-        retries=args.retries,
-        backoff_s=args.backoff,
-        on_failure="report",
-    )
+    runner = _sweep_runner(args, bus=bus, registry=registry)
+    cache = runner.cache
+
+    def write_metrics() -> None:
+        if registry is not None:
+            _write_registry(
+                registry, args, "merged sweep metrics",
+                workloads=",".join(workloads),
+                schemes=",".join(config.name for config in configs),
+                requests=args.requests,
+                seed=args.seed,
+                jobs=args.jobs,
+            )
+
     try:
         sweep = runner.run_grid(configs, workloads, args.requests,
                                 seed=args.seed)
@@ -364,8 +357,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         if cache is not None:
             print("completed points are cached; run the same command "
                   "again to finish without re-simulating them")
-        if registry is not None:
-            _write_sweep_metrics(registry, args, workloads, configs)
+        write_metrics()
         return EXIT_INTERRUPTED
     finally:
         if progress_stream is not None:
@@ -403,17 +395,48 @@ def cmd_sweep(args: argparse.Namespace) -> int:
               f"{len(cache)} entries on disk")
     if progress_stream is not None:
         print(f"wrote progress stream (JSONL): {args.progress_jsonl}")
-    if registry is not None:
-        _write_sweep_metrics(registry, args, workloads, configs)
+    write_metrics()
     if report is not None:
         print(f"sweep report: {report.summary()}")
         if not report.ok:
-            _print_sweep_failures(report)
+            for point in report.failures():
+                print(f"  FAILED {point.workload}/{point.scheme}: "
+                      f"{point.status} after {point.attempts} attempt(s)"
+                      + (f" ({point.error})" if point.error else ""))
             return EXIT_SWEEP_FAILED
     return 0
 
 
+def _fault_plan(args: argparse.Namespace):
+    """``--inject``/``--fault-seed`` → the printed plan and an in-process
+    injector for it, or ``(None, None)`` without specs."""
+    if not args.inject:
+        return None, None
+    from repro.faults.injector import FaultPlan
+    from repro.faults.spec import FaultSpecError
+
+    try:
+        plan = FaultPlan.parse(args.inject, seed=args.fault_seed)
+    except FaultSpecError as exc:
+        raise SystemExit(f"bad --inject spec: {exc}")
+    print(f"fault plan (seed {plan.seed}):")
+    for spec in plan.specs:
+        print(f"  {spec.to_dict()}")
+    return plan, plan.injector(in_worker=False)
+
+
+def _print_fired(injector) -> None:
+    if injector is not None and injector.fired():
+        print("fired faults (deterministic for this plan+seed):")
+        for entry in injector.fired():
+            print(f"  {entry}")
+
+
 def cmd_faults(args: argparse.Namespace) -> int:
+    from repro.faults.invariants import InvariantViolation, RuntimeInvariants
+    from repro.faults.spec import FAULT_KINDS, BitFlip, PosmapCorrupt
+    from repro.oram.integrity import IntegrityError
+
     if args.list:
         rows = []
         for kind, cls in sorted(FAULT_KINDS.items()):
@@ -431,7 +454,7 @@ def cmd_faults(args: argparse.Namespace) -> int:
         return 0
     if not args.inject:
         raise SystemExit("nothing to do: pass --list or --inject SPEC")
-    plan = _parse_fault_plan(args)
+    plan, injector = _fault_plan(args)
 
     # Corruption specs only make sense with the integrity layer watching:
     # auto-arm it so `faults --inject bit-flip:...` detects and (under the
@@ -446,17 +469,7 @@ def cmd_faults(args: argparse.Namespace) -> int:
 
     workloads = _parse_workloads(args.workloads)
     configs = _build_sweep_configs(args)
-    cache = None if args.no_cache else ResultCache(args.cache_dir)
-
-    runner = SweepRunner(
-        jobs=args.jobs,
-        cache=cache,
-        timeout_s=args.timeout,
-        retries=args.retries,
-        backoff_s=args.backoff,
-        faults=plan,
-        on_failure="report",
-    )
+    runner = _sweep_runner(args, faults=plan)
     runner.run_grid(configs, workloads, args.requests, seed=args.seed)
     report = runner.last_report
     print(f"sweep under faults: {report.summary()}")
@@ -472,7 +485,6 @@ def cmd_faults(args: argparse.Namespace) -> int:
 
     # Invariant sweep: re-run the first point in-process with the
     # backend-level faults applied and the runtime checker attached.
-    injector = plan.injector(in_worker=False)
     invariants_report = None
     checked_controller = None
 
@@ -499,10 +511,7 @@ def cmd_faults(args: argparse.Namespace) -> int:
     except IntegrityError as violation:
         print(f"integrity layer aborted the run "
               f"(--recovery-policy {args.recovery_policy}): {violation}")
-    if injector.fired():
-        print("fired faults (deterministic for this plan+seed):")
-        for entry in injector.fired():
-            print(f"  {entry}")
+    _print_fired(injector)
     if invariants_report is not None:
         print(f"runtime invariants ({args.invariant_policy}): "
               f"{invariants_report.checks} checks, "
@@ -527,6 +536,10 @@ def cmd_faults(args: argparse.Namespace) -> int:
 
 
 def cmd_trace_analyze(args: argparse.Namespace) -> int:
+    from repro.analysis import spans_report
+    from repro.obs.flightrec import is_postmortem, load_postmortem_traces
+    from repro.obs.spans import load_traces
+
     # Flight-recorder post-mortems carry raw bus events, not span trees;
     # rebuild whatever complete request spans the crash window holds.
     # Their wall stamps date from the replay, so host seconds are left out.
@@ -540,8 +553,6 @@ def cmd_trace_analyze(args: argparse.Namespace) -> int:
     else:
         traces = load_traces(args.file)
     if args.json:
-        import json
-
         payload = spans_report.analyze(
             traces, top=args.top, host=not postmortem
         )
@@ -556,10 +567,9 @@ def cmd_trace_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    import json
     from datetime import datetime, timezone
 
-    from repro.obs.log import git_describe
+    from repro.analysis import benchtrack
 
     try:
         bench = json.loads(benchtrack.BENCHMARK_FILE.read_text())
@@ -574,7 +584,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
                          f"{', '.join(declared)}")
     seconds = (args.seconds if args.seconds is not None
                else float(bench["run_seconds"]))
-    history = benchtrack.BenchHistory(args.history_dir, host=args.host)
+    history = benchtrack.BenchHistory(
+        args.history_dir or benchtrack.DEFAULT_HISTORY_DIR, host=args.host
+    )
     try:
         prior = history.load()
     except ValueError as exc:
@@ -627,29 +639,18 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_fault_plan(args: argparse.Namespace) -> FaultPlan | None:
-    """``--inject`` specs → printed plan (or ``None`` without specs)."""
-    if not args.inject:
-        return None
-    try:
-        plan = FaultPlan.parse(args.inject, seed=args.fault_seed)
-    except FaultSpecError as exc:
-        raise SystemExit(f"bad --inject spec: {exc}")
-    print(f"fault plan (seed {plan.seed}):")
-    for spec in plan.specs:
-        print(f"  {spec.to_dict()}")
-    return plan
-
-
 def cmd_serve(args: argparse.Namespace) -> int:
-    from repro.serve import OramServer, ServeSettings
+    import asyncio
+
+    from repro.obs.flightrec import FlightRecorder
+    from repro.obs.slo import parse_slo_spec
+    from repro.serve.server import OramServer, ServeSettings
 
     config = build_config(args)
     sharded = args.shards > 1
     if args.restore and not (args.checkpoint_dir or sharded):
         raise SystemExit("--restore needs --checkpoint-dir (or --shards)")
-    plan = _parse_fault_plan(args)
-    injector = plan.injector(in_worker=False) if plan is not None else None
+    _plan, injector = _fault_plan(args)
     checkpointer = (
         Checkpointer(args.checkpoint_dir)
         if args.checkpoint_dir and not sharded else None
@@ -676,80 +677,77 @@ def cmd_serve(args: argparse.Namespace) -> int:
         slo_fatal=args.slo_fatal,
         metrics_port=args.metrics_port,
     )
-    open_files = []
-    observer = None
-    if args.adversary_trace:
-        stream = open(args.adversary_trace, "w")
-        open_files.append(stream)
-        observer = AdversaryTraceWriter(stream)
-        observer.logger.write_record(
-            run_metadata(config, mode="serve", seed=args.seed)
-        )
-    # The observability plane only materializes when asked for: without
-    # these flags no bus is created, so the serving hot path constructs
-    # zero event objects and stays bit-identical to a bare run.
-    bus = None
-    flightrec = None
-    if args.flight_recorder or slo is not None:
-        bus = EventBus()
-    if args.flight_recorder:
-        flightrec = FlightRecorder(
-            bus, capacity=args.flight_capacity,
-            directory=args.flight_recorder,
-        )
-    supervisor = None
-    shard_trace = None
-    if sharded:
-        from repro.security import ShardTraceObserver
-        from repro.shard import ShardSettings, ShardSupervisor
+    with contextlib.ExitStack() as files:
+        observer = None
+        if args.adversary_trace:
+            observer = AdversaryTraceWriter(
+                files.enter_context(open(args.adversary_trace, "w"))
+            )
+            observer.logger.write_record(
+                run_metadata(config, mode="serve", seed=args.seed)
+            )
+        # The observability plane only materializes when asked for: without
+        # these flags no bus is created, so the serving hot path constructs
+        # zero event objects and stays bit-identical to a bare run.
+        bus = None
+        flightrec = None
+        if args.flight_recorder or slo is not None:
+            bus = EventBus()
+        if args.flight_recorder:
+            flightrec = FlightRecorder(
+                bus, capacity=args.flight_capacity,
+                directory=args.flight_recorder,
+            )
+        supervisor = None
+        shard_trace = None
+        if sharded:
+            from repro.security.adversary import ShardTraceObserver
+            from repro.shard.supervisor import ShardSettings, ShardSupervisor
 
-        if args.shard_trace:
-            shard_trace = ShardTraceObserver()
-        supervisor = ShardSupervisor(
+            if args.shard_trace:
+                shard_trace = ShardTraceObserver()
+            supervisor = ShardSupervisor(
+                config,
+                seed=args.seed,
+                state_dir=args.shard_dir,
+                settings=ShardSettings(
+                    num_shards=args.shards,
+                    mode=args.shard_mode,
+                    degraded=args.degraded_mode,
+                    checkpoint_every=args.checkpoint_every,
+                    access_timeout_s=args.shard_timeout_s,
+                    max_respawns=args.max_respawns,
+                ),
+                injector=injector,
+                trace=shard_trace,
+                bus=bus,
+            )
+        server = OramServer(
             config,
             seed=args.seed,
-            state_dir=args.shard_dir,
-            settings=ShardSettings(
-                num_shards=args.shards,
-                mode=args.shard_mode,
-                degraded=args.degraded_mode,
-                checkpoint_every=args.checkpoint_every,
-                access_timeout_s=args.shard_timeout_s,
-                max_respawns=args.max_respawns,
-            ),
+            settings=settings,
             injector=injector,
-            trace=shard_trace,
+            checkpointer=checkpointer,
+            restore=args.restore,
+            observer=observer,
+            bridge=supervisor,
             bus=bus,
+            flight_recorder=flightrec,
         )
-    server = OramServer(
-        config,
-        seed=args.seed,
-        settings=settings,
-        injector=injector,
-        checkpointer=checkpointer,
-        restore=args.restore,
-        observer=observer,
-        bridge=supervisor,
-        bus=bus,
-        flight_recorder=flightrec,
-    )
 
-    def announce(srv) -> None:
-        host, port = srv.address
-        print(f"serving {config.describe()}", flush=True)
-        if supervisor is not None:
-            print(f"sharded backend: {args.shards} shards "
-                  f"({args.shard_mode}, degraded={args.degraded_mode}, "
-                  f"{supervisor.num_blocks} fleet blocks)", flush=True)
-        print(f"listening on {host}:{port} "
-              f"({settings.max_clients} slots x {srv.client_space} blocks); "
-              f"drain with SIGTERM or a shutdown message", flush=True)
+        def announce(srv) -> None:
+            host, port = srv.address
+            print(f"serving {config.describe()}", flush=True)
+            if supervisor is not None:
+                print(f"sharded backend: {args.shards} shards "
+                      f"({args.shard_mode}, degraded={args.degraded_mode}, "
+                      f"{supervisor.num_blocks} fleet blocks)", flush=True)
+            print(f"listening on {host}:{port} "
+                  f"({settings.max_clients} slots x {srv.client_space} "
+                  f"blocks); drain with SIGTERM or a shutdown message",
+                  flush=True)
 
-    try:
         code = asyncio.run(server.run(on_started=announce))
-    finally:
-        for stream in open_files:
-            stream.close()
     if server.crashed is not None:
         print(f"server crashed: {server.crashed}")
     else:
@@ -768,44 +766,31 @@ def cmd_serve(args: argparse.Namespace) -> int:
         print(f"wrote flight-recorder post-mortem (JSONL): "
               f"{server.postmortem_path} -- replay with "
               f"'repro trace analyze {server.postmortem_path}'")
-    if args.metrics_prom:
-        with open(args.metrics_prom, "w") as stream:
-            stream.write(render_prometheus(server.export_registry()))
-        print(f"wrote metrics (Prometheus text): {args.metrics_prom}")
     if supervisor is not None:
         report = supervisor.fleet_report()
         print("fleet report:")
         for key in sorted(report):
             print(f"  {key}: {report[key]}")
-    if injector is not None and injector.fired():
-        print("fired faults (deterministic for this plan+seed):")
-        for entry in injector.fired():
-            print(f"  {entry}")
+    _print_fired(injector)
     if shard_trace is not None:
-        import json
-
         with open(args.shard_trace, "w") as stream:
             for round_no, shard in shard_trace.events:
                 stream.write(json.dumps({"round": round_no, "shard": shard}))
                 stream.write("\n")
         print(f"wrote inter-shard dispatch trace (JSONL): "
               f"{args.shard_trace} ({len(shard_trace)} slots)")
-    if args.metrics:
-        with open(args.metrics, "w") as stream:
-            server.export_registry().write_json(
-                stream, **run_metadata(config, mode="serve", seed=args.seed)
-            )
-        print(f"wrote metrics (JSON): {args.metrics}")
+    if args.metrics or args.metrics_prom:
+        _write_registry(server.export_registry(), args, "metrics",
+                        config, mode="serve", seed=args.seed)
     return code
 
 
 def cmd_load(args: argparse.Namespace) -> int:
-    import json
+    import asyncio
 
-    from repro.serve import LoadSettings, run_load
+    from repro.serve.load import LoadSettings, run_load
 
-    plan = _parse_fault_plan(args)
-    injector = plan.injector(in_worker=False) if plan is not None else None
+    _plan, injector = _fault_plan(args)
     settings = LoadSettings(
         host=args.host,
         port=args.port,
@@ -828,10 +813,7 @@ def cmd_load(args: argparse.Namespace) -> int:
               f"{settings.host}:{settings.port}: {exc}")
         return EXIT_SERVE_FAILED
     print(json.dumps(report, indent=2, sort_keys=True))
-    if injector is not None and injector.fired():
-        print("fired faults (deterministic for this plan+seed):")
-        for entry in injector.fired():
-            print(f"  {entry}")
+    _print_fired(injector)
     if args.report:
         with open(args.report, "w") as stream:
             json.dump(report, stream, indent=2, sort_keys=True)
@@ -841,6 +823,8 @@ def cmd_load(args: argparse.Namespace) -> int:
 
 
 def cmd_top(args: argparse.Namespace) -> int:
+    import asyncio
+
     from repro.serve.top import TopSettings, parse_addr, run_top
 
     try:
@@ -868,6 +852,9 @@ def cmd_workloads(_args: argparse.Namespace) -> int:
 
 
 def cmd_overhead(args: argparse.Namespace) -> int:
+    from repro.core.config import ShadowConfig
+    from repro.system.overhead import estimate_overhead
+
     oram = OramConfig(levels=args.levels, utilization=args.utilization)
     report = estimate_overhead(oram, ShadowConfig())
     rows = [
@@ -890,10 +877,13 @@ def make_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def workload_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument("--workload", default="h264ref",
                        choices=workload_names())
         p.add_argument("--requests", type=int, default=20_000)
+
+    def config_flags(p: argparse.ArgumentParser) -> None:
+        """What :func:`build_config` reads, bar ``--scheme``."""
         p.add_argument("--seed", type=int, default=1)
         p.add_argument("--levels", type=int, default=14)
         p.add_argument("--utilization", type=float, default=0.25)
@@ -916,8 +906,20 @@ def make_parser() -> argparse.ArgumentParser:
                             "(0 disables; under --recovery-policy raise "
                             "a scrub hit aborts the run)")
 
+    def fault_flags(p: argparse.ArgumentParser, examples: str) -> None:
+        p.add_argument(
+            "--inject", action="append", default=[], metavar="SPEC",
+            help="fault spec 'kind[@point][:field=value,...]' (repeatable; "
+                 f"'repro faults --list' names the kinds), e.g. {examples}",
+        )
+        p.add_argument(
+            "--fault-seed", type=int, default=0,
+            help="seed for the fault injector's random choices",
+        )
+
     run_p = sub.add_parser("run", help="run one configuration")
-    common(run_p)
+    workload_flags(run_p)
+    config_flags(run_p)
     run_p.add_argument("--scheme", default="dynamic-3")
     run_p.add_argument("--trace", metavar="FILE",
                        help="write a Perfetto/Chrome trace-event timeline")
@@ -952,7 +954,8 @@ def make_parser() -> argparse.ArgumentParser:
         help="report the simulator's host seconds per span phase, plus "
              "trace build and frontend",
     )
-    common(prof_p)
+    workload_flags(prof_p)
+    config_flags(prof_p)
     prof_p.add_argument("--scheme", default="dynamic-3")
     prof_p.add_argument("--json", metavar="FILE",
                         help="also write the per-stage profile as "
@@ -980,16 +983,19 @@ def make_parser() -> argparse.ArgumentParser:
     analyze_p.set_defaults(fn=cmd_trace_analyze)
 
     cmp_p = sub.add_parser("compare", help="compare all schemes on a workload")
-    common(cmp_p)
+    workload_flags(cmp_p)
+    config_flags(cmp_p)
     cmp_p.add_argument("--width", type=int, default=3,
                        help="DRI counter width for the dynamic scheme")
     cmp_p.set_defaults(fn=cmd_compare)
 
     def sweep_flags(p: argparse.ArgumentParser) -> None:
+        config_flags(p)
         p.add_argument(
             "--workloads", default="mcf,libquantum",
             help="comma-separated workload names, or 'all'",
         )
+        p.add_argument("--requests", type=int, default=20_000)
         p.add_argument(
             "--schemes", default="insecure,tiny,dynamic-3",
             help="comma-separated scheme names (first is the speedup baseline)",
@@ -1025,7 +1031,6 @@ def make_parser() -> argparse.ArgumentParser:
         "sweep",
         help="run a (workload x scheme) grid in parallel with result caching",
     )
-    common(sweep_p)
     sweep_flags(sweep_p)
     sweep_p.add_argument(
         "--metrics", metavar="FILE",
@@ -1066,9 +1071,8 @@ def make_parser() -> argparse.ArgumentParser:
         help="run length (default: BENCHMARK.json's run_seconds)",
     )
     bench_p.add_argument(
-        "--history-dir", default=str(benchtrack.DEFAULT_HISTORY_DIR),
-        metavar="DIR",
-        help="where BENCH_<host>.json lives",
+        "--history-dir", default=None, metavar="DIR",
+        help="where BENCH_<host>.json lives (default: benchmarks/results)",
     )
     bench_p.add_argument(
         "--host", default=None, metavar="NAME",
@@ -1091,21 +1095,13 @@ def make_parser() -> argparse.ArgumentParser:
         help="deterministic fault injection: list specs or run a sweep "
              "under an injected fault plan + runtime invariant checks",
     )
-    common(faults_p)
     sweep_flags(faults_p)
     faults_p.add_argument(
         "--list", action="store_true",
         help="list available fault spec kinds and exit",
     )
-    faults_p.add_argument(
-        "--inject", action="append", default=[], metavar="SPEC",
-        help="fault spec 'kind[@point][:field=value,...]' (repeatable), "
-             "e.g. worker-crash@2:attempt=1 or cache-corrupt:mode=truncate",
-    )
-    faults_p.add_argument(
-        "--fault-seed", type=int, default=0,
-        help="seed for the fault injector's random choices",
-    )
+    fault_flags(faults_p, "worker-crash@2:attempt=1 or "
+                          "cache-corrupt:mode=truncate")
     faults_p.add_argument(
         "--invariant-policy", choices=["raise", "degrade"], default="degrade",
         help="what the runtime invariant checker does on a violation",
@@ -1120,7 +1116,7 @@ def make_parser() -> argparse.ArgumentParser:
              "protocol) with bounded admission, load shedding, deadlines, "
              "graceful drain, and crash-restartable checkpoints",
     )
-    common(serve_p)
+    config_flags(serve_p)
     serve_p.add_argument("--scheme", default="dynamic-3")
     serve_p.add_argument("--host", default="127.0.0.1")
     serve_p.add_argument("--port", type=int, default=7700,
@@ -1165,12 +1161,8 @@ def make_parser() -> argparse.ArgumentParser:
     serve_p.add_argument("--adversary-trace", metavar="FILE",
                          help="dump the adversary-visible path sequence "
                               "as JSONL")
-    serve_p.add_argument("--inject", action="append", default=[],
-                         metavar="SPEC",
-                         help="fault spec, e.g. "
-                              "server-crash:at_access=100,mode=exit or "
-                              "shard-crash:shard=1,at_access=40")
-    serve_p.add_argument("--fault-seed", type=int, default=0)
+    fault_flags(serve_p, "server-crash:at_access=100,mode=exit or "
+                         "shard-crash:shard=1,at_access=40")
     serve_p.add_argument("--shards", type=int, default=1, metavar="N",
                          help="shard the address space over N supervised "
                               "workers behind a consistent-hash ring "
@@ -1292,12 +1284,8 @@ def make_parser() -> argparse.ArgumentParser:
                              "server's wire 'stats' latency section, so "
                              "client- and server-observed latency diff "
                              "directly")
-    load_p.add_argument("--inject", action="append", default=[],
-                        metavar="SPEC",
-                        help="client-side fault spec, e.g. "
-                             "client-disconnect:at_request=5 or "
-                             "slow-client:at_request=3,stall_s=0.5")
-    load_p.add_argument("--fault-seed", type=int, default=0)
+    fault_flags(load_p, "client-disconnect:at_request=5 or "
+                        "slow-client:at_request=3,stall_s=0.5")
     load_p.set_defaults(fn=cmd_load)
 
     wl_p = sub.add_parser("workloads", help="list available workloads")

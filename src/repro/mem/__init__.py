@@ -1,6 +1,1 @@
 """DRAM timing substrate (replaces DRAMSim2 in the paper's toolchain)."""
-
-from repro.mem.dram import DramConfig, DramModel, PathTiming
-from repro.mem.layout import SubtreeLayout
-
-__all__ = ["DramConfig", "DramModel", "PathTiming", "SubtreeLayout"]

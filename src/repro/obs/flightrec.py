@@ -7,7 +7,7 @@ events are the already-constructed frozen dataclasses the bus delivered;
 the ring only holds references and evicts by count.  When the serving
 layer goes down (injected crash, SLO breach, SIGTERM drain) it calls
 :meth:`dump`, which writes a timestamped JSONL post-mortem atomically
-(temp file + ``os.replace``, the :mod:`repro.system.checkpoint` idiom):
+(:func:`repro.serialize.atomic_write`):
 a ``{"meta": ...}`` header line, then one
 :func:`~repro.obs.events.event_to_dict` record per line, oldest first.
 
@@ -25,8 +25,6 @@ the header) and runs the same cycle-exact invariant checks as on a live
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 import time
 from collections import deque
 from pathlib import Path
@@ -41,6 +39,7 @@ from repro.obs.events import (
     event_to_dict,
 )
 from repro.obs.spans import ROOT_SPAN_NAMES, SpanTracer
+from repro.serialize import atomic_write
 
 #: Post-mortem file schema (the meta header's ``schema`` key).
 POSTMORTEM_SCHEMA = 1
@@ -103,42 +102,31 @@ class FlightRecorder:
         ) or "dump"
         events = self.events()
         final = target_dir / f"postmortem-{stamp}-{int(now * 1000) % 100000:05d}-{slug}.jsonl"
-        fd, tmp_name = tempfile.mkstemp(
-            dir=target_dir, prefix=final.name, suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "w") as stream:
+        with atomic_write(final) as stream:
+            json.dump(
+                {
+                    "meta": {
+                        "kind": "flight-recorder",
+                        "schema": POSTMORTEM_SCHEMA,
+                        "reason": reason,
+                        "ts": now,
+                        "captured": len(events),
+                        "dropped": self.dropped,
+                        "capacity": self.capacity,
+                    }
+                },
+                stream,
+                sort_keys=True,
+            )
+            stream.write("\n")
+            for event in events:
                 json.dump(
-                    {
-                        "meta": {
-                            "kind": "flight-recorder",
-                            "schema": POSTMORTEM_SCHEMA,
-                            "reason": reason,
-                            "ts": now,
-                            "captured": len(events),
-                            "dropped": self.dropped,
-                            "capacity": self.capacity,
-                        }
-                    },
+                    event_to_dict(event),
                     stream,
-                    sort_keys=True,
+                    separators=(",", ":"),
+                    default=str,
                 )
                 stream.write("\n")
-                for event in events:
-                    json.dump(
-                        event_to_dict(event),
-                        stream,
-                        separators=(",", ":"),
-                        default=str,
-                    )
-                    stream.write("\n")
-            os.replace(tmp_name, final)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
         self.dumps.append(final)
         return final
 

@@ -1,20 +1,1 @@
 """Tiny ORAM (RAW Path ORAM) substrate and related ORAM machinery."""
-
-from repro.oram.block import Block
-from repro.oram.config import OramConfig
-from repro.oram.posmap import PositionMap
-from repro.oram.stash import Stash, StashOverflowError
-from repro.oram.tiny import AccessResult, OramStats, TinyOramController
-from repro.oram.tree import OramTree
-
-__all__ = [
-    "AccessResult",
-    "Block",
-    "OramConfig",
-    "OramStats",
-    "OramTree",
-    "PositionMap",
-    "Stash",
-    "StashOverflowError",
-    "TinyOramController",
-]

@@ -1,36 +1,1 @@
 """Security harness: adversary view, distinguisher, encryption model."""
-
-from repro.security.adversary import (
-    AccessPatternObserver,
-    ShardTraceObserver,
-    chi_square_uniformity,
-    lag_autocorrelation,
-    leaf_histogram,
-)
-from repro.security.crypto import CounterOtp, serialize_block
-from repro.security.distinguisher import (
-    cyclic_sequence,
-    distinguishing_gap,
-    observable_trace,
-    rrwp_rate,
-    scan_sequence,
-    shard_rrwp_rate,
-    shard_trace_advantage,
-)
-
-__all__ = [
-    "AccessPatternObserver",
-    "CounterOtp",
-    "ShardTraceObserver",
-    "chi_square_uniformity",
-    "cyclic_sequence",
-    "distinguishing_gap",
-    "lag_autocorrelation",
-    "leaf_histogram",
-    "observable_trace",
-    "rrwp_rate",
-    "scan_sequence",
-    "serialize_block",
-    "shard_rrwp_rate",
-    "shard_trace_advantage",
-]

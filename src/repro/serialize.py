@@ -18,14 +18,22 @@ to use as cache keys.
 ``SCHEMA_VERSION`` versions the serialized layout of results and jobs;
 the on-disk result cache folds it into every key so stale entries from an
 older layout can never be deserialized into a newer one.
+
+:func:`atomic_write` is how the package publishes a file: checkpoints,
+result-cache entries, the bench history and flight-recorder dumps are
+all written through it, so none of them is ever seen torn.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
+import tempfile
 from dataclasses import fields, is_dataclass
 from hashlib import sha256
-from typing import Any, TypeVar
+from pathlib import Path
+from typing import Any, Iterator, TextIO, TypeVar
 
 # Version of the serialized job/result layout.  Bump whenever the dict
 # rendering of SystemConfig or SimulationResult changes shape; the result
@@ -186,3 +194,27 @@ def serializable(cls: type[T]) -> type[T]:
     if "fingerprint" not in cls.__dict__:
         cls.fingerprint = fingerprint  # type: ignore[attr-defined]
     return cls
+
+
+@contextlib.contextmanager
+def atomic_write(path: str | Path) -> Iterator[TextIO]:
+    """A text stream whose contents replace ``path`` in one step.
+
+    Writes go to a hidden ``mkstemp`` file beside ``path``; a clean exit
+    publishes it with :func:`os.replace` (atomic on POSIX), so a reader
+    sees the old file or the new one, never a torn one.  On any exception
+    the temp file is unlinked and the exception propagates: each caller
+    keeps its own error policy.
+    """
+    path = Path(path)
+    fd, tmp = tempfile.mkstemp(
+        dir=path.parent, prefix=f".{path.name}.", suffix=".tmp"
+    )
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as stream:
+            yield stream
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise

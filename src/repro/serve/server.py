@@ -27,7 +27,7 @@ Robustness is the design center, not an afterthought:
   checkpoint boundary is bit-identical to an uninterrupted serve
   (``serve`` tests assert the digest equality).
 * **deterministic fault injection** — ``server-crash`` specs fire
-  through the existing seeded :class:`~repro.faults.FaultInjector`
+  through the existing seeded :class:`~repro.faults.injector.FaultInjector`
   between two ORAM accesses; ``client-disconnect``/``slow-client`` are
   driven by the load generator and exercised against this server in the
   ``serve-smoke`` CI job.
@@ -676,31 +676,11 @@ class OramServer:
             # request is refused *before* admission — it never enters
             # the accounting identity, and the client's retry-with-
             # backoff loop naturally outlives the recovery window.
-            self._count("shed")
             self._count("shed_shard_down")
-            if self.slo is not None:
-                self.slo.observe_shed()
-            session.send(
-                _resp(
-                    req_id,
-                    protocol.STATUS_RETRY_AFTER,
-                    retry_after_ms=self.settings.retry_after_ms,
-                ),
-                release_window=True,
-            )
+            self._shed(session, req_id)
             return
         if self._queue.qsize() >= self.settings.shed_highwater:
-            self._count("shed")
-            if self.slo is not None:
-                self.slo.observe_shed()
-            session.send(
-                _resp(
-                    req_id,
-                    protocol.STATUS_RETRY_AFTER,
-                    retry_after_ms=self.settings.retry_after_ms,
-                ),
-                release_window=True,
-            )
+            self._shed(session, req_id)
             return
         deadline_ms = message.get("deadline_ms", self.settings.default_deadline_ms)
         admit_t = loop.time()
@@ -716,17 +696,7 @@ class OramServer:
         try:
             self._queue.put_nowait(item)
         except asyncio.QueueFull:
-            self._count("shed")
-            if self.slo is not None:
-                self.slo.observe_shed()
-            session.send(
-                _resp(
-                    req_id,
-                    protocol.STATUS_RETRY_AFTER,
-                    retry_after_ms=self.settings.retry_after_ms,
-                ),
-                release_window=True,
-            )
+            self._shed(session, req_id)
             return
         self._count("admitted")
         depth = self._queue.qsize()
@@ -734,6 +704,20 @@ class OramServer:
             self.queue_highwater = depth
         if self.slo is not None:
             self.slo.observe_queue_depth(depth)
+
+    def _shed(self, session: Session, req_id: int) -> None:
+        """Refuse one request with ``retry_after``; it is never admitted."""
+        self._count("shed")
+        if self.slo is not None:
+            self.slo.observe_shed()
+        session.send(
+            _resp(
+                req_id,
+                protocol.STATUS_RETRY_AFTER,
+                retry_after_ms=self.settings.retry_after_ms,
+            ),
+            release_window=True,
+        )
 
     # ------------------------------------------------------------------
     # Dispatch: the single consumer feeding the ORAM bridge

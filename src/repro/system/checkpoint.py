@@ -10,23 +10,21 @@ killed run restarted with ``--restore`` finishes bit-identical to an
 uninterrupted one.
 
 Format and failure model follow the result cache
-(:mod:`repro.analysis.cache`): one JSON file per checkpoint, written to a
-temp file in the same directory and published with :func:`os.replace`
-(atomic on POSIX), so a file either exists completely or not at all.  On
-top of that each file embeds a digest of its body and the identity of
-the run that wrote it; :meth:`Checkpointer.load_latest` walks newest to
-oldest, *skipping* anything unreadable, torn, or written by a different
-run — a corrupt tail degrades resume granularity, never correctness.
+(:mod:`repro.analysis.cache`): one JSON file per checkpoint, published by
+:func:`repro.serialize.atomic_write`, so a file either exists completely
+or not at all.  On top of that each file embeds a digest of its body and
+the identity of the run that wrote it; :meth:`Checkpointer.load_latest`
+walks newest to oldest, *skipping* anything unreadable, torn, or written
+by a different run — a corrupt tail degrades resume granularity, never
+correctness.
 """
 
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 from pathlib import Path
 
-from repro.serialize import SCHEMA_VERSION, stable_hash
+from repro.serialize import SCHEMA_VERSION, atomic_write, stable_hash
 
 
 class Checkpointer:
@@ -93,18 +91,8 @@ class Checkpointer:
             "body": body,
         }
         target = self.path_for(access_index)
-        fd, tmp_name = tempfile.mkstemp(
-            dir=self.directory, prefix=".ckpt-", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(payload, fh, separators=(",", ":"))
-            os.replace(tmp_name, target)
-        finally:
-            try:
-                os.unlink(tmp_name)
-            except FileNotFoundError:
-                pass
+        with atomic_write(target) as fh:
+            json.dump(payload, fh, separators=(",", ":"))
         self.saves += 1
         self._prune()
         return target

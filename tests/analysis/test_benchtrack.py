@@ -12,8 +12,8 @@ import sys
 import pytest
 
 import repro.analysis.benchtrack as benchtrack
-from repro.cli import EXIT_BENCH_REGRESSION, main, make_parser
-from repro.exit_codes import EXIT_BENCH_INCORRECT
+from repro.cli import main, make_parser
+from repro.exit_codes import EXIT_BENCH_INCORRECT, EXIT_BENCH_REGRESSION
 
 FAKE_BENCH = """\
 import argparse, json, sys

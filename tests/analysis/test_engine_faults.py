@@ -24,11 +24,11 @@ from repro.analysis.engine import (
     SweepRunner,
     build_grid,
 )
-from repro.faults import (
+from repro.faults.injector import FaultPlan
+from repro.faults.spec import (
     BitFlip,
     CacheCorruption,
     CacheOsError,
-    FaultPlan,
     WorkerCrash,
     WorkerHang,
 )

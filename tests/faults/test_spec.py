@@ -4,13 +4,13 @@ import errno
 
 import pytest
 
-from repro.faults import (
+from repro.faults.injector import FaultPlan
+from repro.faults.spec import (
     FAULT_KINDS,
     BitFlip,
     CacheCorruption,
     CacheOsError,
     ClientDisconnect,
-    FaultPlan,
     FaultSpecError,
     PosmapCorrupt,
     ServerCrash,

@@ -35,17 +35,19 @@ digest every :class:`~repro.oram.tiny.AccessResult`, the adversary
 trace, the span trees, and the final tree, stash, position map,
 ``stats_*`` counters and RNG state.
 
-The serve case drives one :class:`~repro.serve.OramServeBridge`
-(dynamic-3, default geometry) through a seeded access sequence and
-digests every :class:`~repro.serve.ServedAccess` plus the final
+The serve case drives one
+:class:`~repro.serve.scheduler_bridge.OramServeBridge` (dynamic-3,
+default geometry) through a seeded access sequence and digests every
+:class:`~repro.serve.scheduler_bridge.ServedAccess` plus the final
 ``state_digest()``, which covers the controller snapshot: tree, stash
 FIFO order, position map, RNG, hot cache and the Rule-2 source level of
 every stashed shadow.  The shard case drives a 4-shard in-process
-:class:`~repro.shard.ShardSupervisor` (snapshots off) through seeded
-rounds and digests the served accesses, the padded ``(round, shard)``
-dispatch trace, the fleet ``state_digest()`` and the bytes of the four
-``shard-<k>/intents.log`` files read after ``close()``: the on-disk log
-that ``--restore`` replays must stay readable across versions.
+:class:`~repro.shard.supervisor.ShardSupervisor` (snapshots off)
+through seeded rounds and digests the served accesses, the padded
+``(round, shard)`` dispatch trace, the fleet ``state_digest()`` and the
+bytes of the four ``shard-<k>/intents.log`` files read after
+``close()``: the on-disk log that ``--restore`` replays must stay
+readable across versions.
 
 Counter cases pin exact counter values rather than digests, so a
 failure names the counter that moved.  ``counters/dynamic-3-L10/mcf``
@@ -66,7 +68,7 @@ from pathlib import Path
 from random import Random
 from tempfile import TemporaryDirectory
 
-from repro.faults import FaultPlan
+from repro.faults.injector import FaultPlan
 from repro.mem.dram import DramConfig
 from repro.obs.events import (
     BlockRecovered,
@@ -80,8 +82,8 @@ from repro.oram.config import OramConfig
 from repro.oram.ring import RingConfig, RingOramController
 from repro.security.adversary import AccessPatternObserver
 from repro.serialize import canonical_json, dataclass_to_dict, stable_hash
-from repro.serve import OramServeBridge
-from repro.shard import ShardSettings, ShardSupervisor
+from repro.serve.scheduler_bridge import OramServeBridge
+from repro.shard.supervisor import ShardSettings, ShardSupervisor
 from repro.system.config import SystemConfig
 from repro.system.simulator import simulate
 from repro.workloads.spec import get_workload

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.faults import FaultPlan
+from repro.faults.injector import FaultPlan
 from repro.obs.events import EventBus
 from repro.obs.metrics import MetricsCollector
 from repro.oram.config import OramConfig

@@ -2,9 +2,11 @@
 
 import asyncio
 
-from repro.faults import ClientDisconnect, FaultPlan, SlowClient
+from repro.faults.injector import FaultPlan
+from repro.faults.spec import ClientDisconnect, SlowClient
 from repro.oram.config import OramConfig
-from repro.serve import LoadGenerator, LoadSettings, OramServer, ServeSettings
+from repro.serve.load import LoadGenerator, LoadSettings
+from repro.serve.server import OramServer, ServeSettings
 from repro.system.config import SystemConfig
 
 

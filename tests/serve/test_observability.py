@@ -10,12 +10,13 @@ import asyncio
 import urllib.request
 
 from repro.exit_codes import EXIT_SLO_BREACH
-from repro.faults import FaultPlan
+from repro.faults.injector import FaultPlan
 from repro.obs.events import EventBus, ServeRequestServed
 from repro.obs.flightrec import FlightRecorder, load_postmortem
 from repro.obs.slo import STATE_HEALTHY
 from repro.oram.config import OramConfig
-from repro.serve import OramServer, ServeSettings, protocol
+from repro.serve import protocol
+from repro.serve.server import OramServer, ServeSettings
 from repro.serve.top import TopSettings, parse_addr, render_stats
 from repro.system.config import SystemConfig
 

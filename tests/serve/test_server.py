@@ -10,9 +10,12 @@ import asyncio
 
 import pytest
 
-from repro.faults import FaultPlan, ServerCrash
+from repro.faults.injector import FaultPlan
+from repro.faults.spec import ServerCrash
 from repro.oram.config import OramConfig
-from repro.serve import OramServer, OramServeBridge, ServeSettings, protocol
+from repro.serve import protocol
+from repro.serve.scheduler_bridge import OramServeBridge
+from repro.serve.server import OramServer, ServeSettings
 from repro.system.checkpoint import Checkpointer
 from repro.system.config import SystemConfig
 

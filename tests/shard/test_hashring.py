@@ -6,8 +6,7 @@ import json
 import pytest
 
 from repro.oram.config import OramConfig
-from repro.shard import HashRing, HashRingError
-from repro.shard.hashring import _point
+from repro.shard.hashring import HashRing, HashRingError, _point
 
 
 class TestDeterminism:

@@ -8,14 +8,11 @@ including across a crash-and-recover window, which must contribute zero
 distinguishing advantage.
 """
 
-from repro.faults import FaultPlan
+from repro.faults.injector import FaultPlan
 from repro.oram.config import OramConfig
-from repro.security import (
-    ShardTraceObserver,
-    shard_rrwp_rate,
-    shard_trace_advantage,
-)
-from repro.shard import ShardSettings, ShardSupervisor
+from repro.security.adversary import ShardTraceObserver
+from repro.security.distinguisher import shard_rrwp_rate, shard_trace_advantage
+from repro.shard.supervisor import ShardSettings, ShardSupervisor
 from repro.system.config import SystemConfig
 
 SEED = 7

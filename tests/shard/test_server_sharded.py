@@ -13,10 +13,12 @@ import asyncio
 import threading
 import time
 
-from repro.faults import FaultPlan
+from repro.faults.injector import FaultPlan
 from repro.oram.config import OramConfig
-from repro.serve import OramServer, ServeSettings, ServedAccess, protocol
-from repro.shard import ShardSettings, ShardSupervisor
+from repro.serve import protocol
+from repro.serve.scheduler_bridge import ServedAccess
+from repro.serve.server import OramServer, ServeSettings
+from repro.shard.supervisor import ShardSettings, ShardSupervisor
 from repro.system.config import SystemConfig
 
 SEED = 7

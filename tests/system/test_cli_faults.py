@@ -3,7 +3,8 @@
 import pytest
 
 import repro.analysis.engine as engine_mod
-from repro.cli import EXIT_INTERRUPTED, EXIT_SWEEP_FAILED, main
+from repro.cli import main
+from repro.exit_codes import EXIT_INTERRUPTED, EXIT_SWEEP_FAILED
 
 FAST = [
     "--workloads", "mcf", "--schemes", "tiny", "--requests", "600",
