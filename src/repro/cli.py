@@ -677,6 +677,18 @@ def cmd_serve(args: argparse.Namespace) -> int:
         slo_fatal=args.slo_fatal,
         metrics_port=args.metrics_port,
     )
+    # The observability plane only materializes when asked for: without
+    # these flags no bus is created, so the serving hot path constructs
+    # zero event objects and stays bit-identical to a bare run.
+    bus = None
+    flightrec = None
+    if args.flight_recorder or slo is not None:
+        bus = EventBus()
+    if args.flight_recorder:
+        flightrec = FlightRecorder(
+            bus, capacity=args.flight_capacity,
+            directory=args.flight_recorder,
+        )
     with contextlib.ExitStack() as files:
         observer = None
         if args.adversary_trace:
@@ -685,18 +697,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
             )
             observer.logger.write_record(
                 run_metadata(config, mode="serve", seed=args.seed)
-            )
-        # The observability plane only materializes when asked for: without
-        # these flags no bus is created, so the serving hot path constructs
-        # zero event objects and stays bit-identical to a bare run.
-        bus = None
-        flightrec = None
-        if args.flight_recorder or slo is not None:
-            bus = EventBus()
-        if args.flight_recorder:
-            flightrec = FlightRecorder(
-                bus, capacity=args.flight_capacity,
-                directory=args.flight_recorder,
             )
         supervisor = None
         shard_trace = None

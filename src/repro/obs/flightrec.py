@@ -7,9 +7,9 @@ events are the already-constructed frozen dataclasses the bus delivered;
 the ring only holds references and evicts by count.  When the serving
 layer goes down (injected crash, SLO breach, SIGTERM drain) it calls
 :meth:`dump`, which writes a timestamped JSONL post-mortem atomically
-(:func:`repro.serialize.atomic_write`):
-a ``{"meta": ...}`` header line, then one
-:func:`~repro.obs.events.event_to_dict` record per line, oldest first.
+(:func:`repro.serialize.atomic_write`): a ``{"meta": ...}`` header line,
+then one :func:`~repro.obs.events.event_to_dict` record per line, oldest
+first.
 
 Because the ring truncates at the head, a post-mortem may open
 mid-trace.  :func:`traces_from_events` therefore replays the span

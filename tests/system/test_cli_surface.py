@@ -3,10 +3,12 @@
 Each command takes only the flags it reads, so an option a command would
 ignore is an argparse error, and an abbreviation resolves to the one
 option left.  ``serve``, ``top`` and ``load`` import their stacks inside
-their own bodies; the end-to-end test runs all three, so a missing
-per-command import fails here rather than in CI's smoke jobs.
+their own bodies; the end-to-end test runs all three, with both metrics
+writers, so a missing per-command import fails here rather than in CI's
+smoke jobs.
 """
 
+import json
 import os
 import re
 import subprocess
@@ -47,7 +49,7 @@ def test_serve_top_and_load_exit_zero(tmp_path):
     )
     server = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve", "--port", "0",
-         "--levels", "8"],
+         "--levels", "8", "--metrics", "m.json", "--metrics-prom", "m.prom"],
         cwd=tmp_path, env=env, text=True,
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
     )
@@ -71,3 +73,11 @@ def test_serve_top_and_load_exit_zero(tmp_path):
         if server.poll() is None:
             server.kill()
             server.communicate()
+    counters = json.loads((tmp_path / "m.json").read_text())["counters"]
+    assert counters["serve/served"] > 0
+    assert counters["serve/admitted"] == sum(
+        counters.get(f"serve/{end}", 0)
+        for end in ("served", "expired", "abandoned")
+    )
+    prom = (tmp_path / "m.prom").read_text()
+    assert re.search(r"^repro_serve_served \d", prom, re.M), prom
