@@ -68,11 +68,11 @@ class ServerCrashed(RuntimeError):
 class ShardDied(RuntimeError):
     """One shard of a sharded fleet stopped mid-access.
 
-    Raised by ``shard-crash``/``shard-hang`` specs in ``mode="exception"``
-    (or their in-process degradations), and by the
-    :class:`~repro.shard.supervisor.ShardSupervisor` itself when a worker
-    pipe breaks or times out.  Carries the shard index so the supervisor
-    knows which partition to respawn.
+    Raised by a shard handle (:mod:`repro.shard.worker`) that an injected
+    ``shard-crash`` or ``shard-hang`` killed, or whose worker pipe broke
+    or timed out.  Carries the shard index so the
+    :class:`~repro.shard.supervisor.ShardSupervisor` knows which
+    partition to respawn.
     """
 
     def __init__(self, shard: int, reason: str) -> None:
@@ -213,44 +213,35 @@ class FaultInjector:
                     f"injected server crash before access {access_index}"
                 )
 
-    def before_shard_access(self, shard: int, ordinal: int) -> None:
-        """Fire ``shard-crash``/``shard-hang`` specs before a shard's
-        intent ``ordinal``.
+    def before_shard_access(
+        self, shard: int, ordinal: int
+    ) -> ShardHang | ShardCrash | None:
+        """The ``shard-hang`` or ``shard-crash`` spec that fires before
+        shard ``shard``'s intent ``ordinal``, or ``None``.
 
-        Called by the shard worker (process mode) or the supervisor's
-        in-process handle just before applying the intent with that
-        0-based per-shard ordinal.  One-shot per spec, like the client
-        faults: the post-respawn *replay* of the same ordinals runs with
-        fault firing suppressed, and live re-execution must not re-kill
-        the freshly recovered shard.
+        Called by the :class:`~repro.shard.supervisor.ShardSupervisor`
+        before every live slot, in either shard housing (replay never
+        asks), with the slot's 0-based per-shard ordinal; the supervisor
+        stalls the shard's handle for a hang and kills it for a crash.
+        One-shot per spec, like the client faults, so the live retry of
+        the same ordinal after recovery runs clean.  Hangs fire before
+        crashes.
         """
-        for spec in self._specs(ShardHang):
+        for spec in self._specs(ShardHang) + self._specs(ShardCrash):
             if (
                 spec.shard == shard
                 and spec.at_access == ordinal
                 and spec not in self._client_fired
             ):
                 self._client_fired.add(spec)
-                self.log.append(
-                    f"shard-hang@shard{shard}/access{ordinal}:{spec.hang_s}s"
+                suffix = (
+                    f":{spec.hang_s}s" if isinstance(spec, ShardHang) else ""
                 )
-                if self.in_worker:
-                    time.sleep(spec.hang_s)
-                else:
-                    raise ShardDied(shard, "injected hang")
-        for spec in self._specs(ShardCrash):
-            if (
-                spec.shard == shard
-                and spec.at_access == ordinal
-                and spec not in self._client_fired
-            ):
-                self._client_fired.add(spec)
                 self.log.append(
-                    f"shard-crash@shard{shard}/access{ordinal}:{spec.mode}"
+                    f"{spec.kind}@shard{shard}/access{ordinal}{suffix}"
                 )
-                if spec.mode == "exit" and self.in_worker:
-                    os._exit(71)
-                raise ShardDied(shard, "injected crash")
+                return spec
+        return None
 
     def corrupt_shard_checkpoint(self, shard: int, directory) -> None:
         """Damage shard ``shard``'s newest checkpoint before a reload.

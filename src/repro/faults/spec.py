@@ -266,38 +266,34 @@ class ServerCrash(FaultSpec):
 class ShardCrash(FaultSpec):
     """Kill shard ``shard`` of a sharded fleet before intent ``at_access``.
 
-    Fires in :meth:`repro.faults.injector.FaultInjector.before_shard_access`
-    when the shard's intent ordinal (its position in the per-shard
-    append-only intent log, real and dummy slots alike) reaches
-    ``at_access``.  ``mode="exit"`` hard-kills a shard *worker process*
-    (``os._exit``) — the CI-smoke form; in-process shards degrade it to
-    the exception form.  ``mode="exception"`` raises
-    :class:`~repro.faults.injector.ShardDied`, which the supervisor
-    treats exactly like a dead pipe.  One-shot per spec: recovery replay
-    must not re-trigger the crash or the shard could never come back.
+    Fires in :meth:`repro.faults.injector.FaultInjector.before_shard_access`,
+    which the supervisor calls before every live slot, when the shard's
+    intent ordinal (its position in the per-shard append-only intent
+    log, real and dummy slots alike) reaches ``at_access``.  The
+    supervisor then kills the shard's handle before the intent applies:
+    an in-process shard drops its bridge, a worker process is killed.
+    Either way the handle raises :class:`~repro.faults.injector.ShardDied`
+    and the supervisor recovers the shard as after any death.  One-shot
+    per spec: neither recovery replay nor the live retry of the slot
+    re-triggers the crash, or the shard could never come back.
     """
 
     kind = "shard-crash"
 
     shard: int = 0
     at_access: int = 0
-    mode: str = "exception"  # exception | exit
-
-    def __post_init__(self) -> None:
-        if self.mode not in ("exception", "exit"):
-            raise FaultSpecError(f"shard-crash mode must be "
-                                 f"'exception' or 'exit', got {self.mode!r}")
 
 
 @dataclass(slots=True, frozen=True)
 class ShardHang(FaultSpec):
     """Make shard ``shard`` stop answering before intent ``at_access``.
 
-    In a shard *worker process* the worker sleeps ``hang_s`` seconds
-    mid-command, so the supervisor's per-access timeout expires and the
-    heartbeat ladder declares the shard dead (then kills and respawns
-    it).  In-process shards cannot usefully sleep on the event loop, so
-    the hang degrades to :class:`~repro.faults.injector.ShardDied` —
+    Fires in the supervisor like ``shard-crash``, which then stalls the
+    shard's handle for ``hang_s`` seconds.  A shard *worker process*
+    sleeps without answering, so the supervisor's per-access pipe
+    timeout expires, declares the shard dead and kills the worker (a
+    ``hang_s`` under the timeout only delays the slot).  An in-process
+    shard cannot usefully sleep on the event loop, so it dies at once —
     the post-detection behaviour is identical either way.  One-shot per
     spec, like ``shard-crash``.
     """

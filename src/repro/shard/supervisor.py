@@ -54,6 +54,7 @@ from repro.faults.injector import (
     ShardDied,
     ShardUnavailable,
 )
+from repro.faults.spec import ShardHang
 from repro.obs.events import EventBus, ShardRecovered
 from repro.obs.metrics import MetricsRegistry
 from repro.serialize import SCHEMA_VERSION, stable_hash
@@ -134,7 +135,6 @@ class _ShardState:
 
     __slots__ = (
         "index", "handle", "log", "ckpt", "status", "respawns", "registry",
-        "suppress_fire",
     )
 
     def __init__(self, index: int, registry: MetricsRegistry) -> None:
@@ -145,11 +145,6 @@ class _ShardState:
         self.status = DEAD
         self.respawns = 0
         self.registry = registry
-        # Ordinals whose live execution already fired a death once; the
-        # retry (same ordinal, post-recovery) must not fire again — a
-        # respawned worker process rebuilds its injector from the plan
-        # and would otherwise re-kill the shard at the same spot forever.
-        self.suppress_fire: set[int] = set()
 
     def count(self, name: str, amount: int = 1) -> None:
         self.registry.counter(name).inc(amount)
@@ -178,8 +173,10 @@ class ShardSupervisor:
             ``shard-<k>/ckpt-*.json`` per shard.  Recovery and
             ``restore`` need it; it is created if missing.
         settings: Fleet shape + failure policy.
-        injector: Seeded fault injector (``shard-*`` seams); in
-            ``process`` mode its plan is also shipped to every worker.
+        injector: Seeded fault injector (``shard-*`` seams).  The
+            supervisor asks it before every live slot, in either
+            housing, and applies a fired ``shard-crash`` or
+            ``shard-hang`` to the shard's handle.
         trace: Inter-shard dispatch observer, called ``(round, shard)``
             for every slot the adversary would see on the shard links.
         bus: Observability event bus; a completed recovery emits
@@ -342,15 +339,11 @@ class ShardSupervisor:
     def _spawn(self, shard: int):
         seed = _shard_seed(self.seed, shard)
         if self.settings.mode == "process":
-            plan = self.injector.plan if self.injector is not None else None
             return ProcessShard(
-                shard,
-                self.config,
-                seed,
-                plan=plan,
+                shard, self.config, seed,
                 timeout_s=self.settings.access_timeout_s,
             )
-        return InprocShard(shard, self.config, seed, injector=self.injector)
+        return InprocShard(shard, self.config, seed)
 
     # ------------------------------------------------------------------
     # Health
@@ -410,7 +403,7 @@ class ShardSupervisor:
         local = self.ring.local_of(addr)
         round_no = self.rounds
         self.rounds += 1
-        result: dict[str, object] | None = None
+        result: ServedAccess | None = None
         target_down = False
         shards = (
             self._shards if self.settings.padded else [self._shards[target]]
@@ -440,19 +433,28 @@ class ShardSupervisor:
         if target_down:
             raise ShardUnavailable(target)
         self.served += 1
-        return ServedAccess(
-            addr=addr,
-            op=op,
-            served_from=result["served_from"],
-            latency_cycles=result["latency_cycles"],
-            finish=result["finish"],
-            value=result["value"],
-            path_accesses=result["path_accesses"],
-        )
+        # The shard answered for its local address; the fleet answers
+        # for the client's.
+        result.addr = addr
+        return result
+
+    def _live(self, st: _ShardState, intent: Intent) -> ServedAccess:
+        """Apply ``intent`` on the shard, after the shard fault the plan
+        names for this slot, if any: a crash kills the handle, a hang
+        stalls it.  Replay never comes here, so it never fires a fault,
+        and the injector fires each spec once, so the live retry of a
+        slot after recovery meets only a spec that has not fired yet."""
+        if self.injector is not None:
+            fault = self.injector.before_shard_access(st.index, intent.ordinal)
+            if isinstance(fault, ShardHang):
+                st.handle.stall(fault.hang_s)
+            elif fault is not None:
+                st.handle.crash()
+        return st.handle.access(intent)
 
     def _real_slot(
         self, st: _ShardState, local: int, op: str, payload: object
-    ) -> dict[str, object] | None:
+    ) -> ServedAccess | None:
         """Execute the owning shard's slot (logged behind execution).
 
         Returns ``None`` when the shard died mid-access under "allow"
@@ -460,21 +462,18 @@ class ShardSupervisor:
         it exactly once).
         """
         intent = Intent(st.log.length, KIND_REAL, local, op, payload)
-        try:
-            result = st.handle.access(
-                intent, fire=intent.ordinal not in st.suppress_fire
-            )
-        except ShardDied:
-            self._mark_dead(st, "access")
-            st.suppress_fire.add(intent.ordinal)
-            if self.settings.degraded == "allow":
-                return None
-            # Deny: recover (replay excludes this unlogged intent) and
-            # re-execute the same slot live; the intent sequence ends up
-            # identical to an uninterrupted run.  fire=False — a fresh
-            # worker's injector must not re-kill the shard here.
-            self.recover(st.index)
-            result = st.handle.access(intent, fire=False)
+        while True:
+            try:
+                result = self._live(st, intent)
+                break
+            except ShardDied:
+                self._mark_dead(st, "access")
+                if self.settings.degraded == "allow":
+                    return None
+                # Deny: recover (replay excludes this unlogged intent)
+                # and re-execute the same slot live; the intent sequence
+                # ends up identical to an uninterrupted run.
+                self.recover(st.index)
         st.log.append(intent)
         st.count("accesses_real")
         self._maybe_checkpoint(st)
@@ -488,20 +487,14 @@ class ShardSupervisor:
         intent = Intent(st.log.length, KIND_DUMMY, addr, "read", None)
         st.log.append(intent)
         try:
-            st.handle.access(
-                intent, fire=intent.ordinal not in st.suppress_fire
-            )
+            self._live(st, intent)
         except ShardDied:
-            st.suppress_fire.add(intent.ordinal)
             # Already durable: the replay applies it, so the padding
             # sequence stays dense across the death.
             self._mark_dead(st, "access")
-            if self.settings.degraded == "deny":
-                self.recover(st.index)
-                st.count("accesses_dummy")
-                self._maybe_checkpoint(st)
+            if self.settings.degraded == "allow":
                 return
-            return
+            self.recover(st.index)
         st.count("accesses_dummy")
         self._maybe_checkpoint(st)
 

@@ -36,7 +36,7 @@ ALL_SPECS = [
     ClientDisconnect(at_request=4),
     SlowClient(at_request=2, stall_s=0.25),
     ServerCrash(at_access=100, mode="exit"),
-    ShardCrash(shard=1, at_access=40, mode="exit"),
+    ShardCrash(shard=1, at_access=40),
     ShardHang(shard=2, at_access=8, hang_s=0.2),
     ShardCheckpointCorrupt(shard=0, mode="garbage"),
 ]
@@ -77,6 +77,8 @@ class TestDictRoundTrip:
     def test_unknown_field_rejected(self):
         with pytest.raises(FaultSpecError, match="unknown fields"):
             spec_from_dict({"kind": "bit-flip", "at_access": 1, "blast": 9})
+        with pytest.raises(FaultSpecError, match="unknown fields"):
+            spec_from_dict({"kind": "shard-crash", "mode": "exit"})
 
     def test_bad_mode_rejected(self):
         with pytest.raises(FaultSpecError):
@@ -85,8 +87,6 @@ class TestDictRoundTrip:
             CacheCorruption(mode="shred")
         with pytest.raises(FaultSpecError):
             ServerCrash(mode="gently")
-        with pytest.raises(FaultSpecError):
-            ShardCrash(mode="vaporize")
         with pytest.raises(FaultSpecError):
             ShardCheckpointCorrupt(mode="shred")
 
@@ -126,6 +126,8 @@ class TestParseSpec:
             parse_spec("worker-crash:sideways")
         with pytest.raises(FaultSpecError, match="bad option"):
             parse_spec("worker-crash:warp=9")
+        with pytest.raises(FaultSpecError, match="bad option"):
+            parse_spec("shard-crash:shard=1,mode=exit")
 
 
 class TestFaultPlan:
