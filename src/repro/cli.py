@@ -650,10 +650,12 @@ def cmd_serve(args: argparse.Namespace) -> int:
     sharded = args.shards > 1
     if args.restore and not (args.checkpoint_dir or sharded):
         raise SystemExit("--restore needs --checkpoint-dir (or --shards)")
+    if args.checkpoint_dir and sharded:
+        raise SystemExit("--checkpoint-dir does not apply to --shards > 1: "
+                         "a fleet's snapshots go under --shard-dir")
     _plan, injector = _fault_plan(args)
     checkpointer = (
-        Checkpointer(args.checkpoint_dir)
-        if args.checkpoint_dir and not sharded else None
+        Checkpointer(args.checkpoint_dir) if args.checkpoint_dir else None
     )
     slo = None
     if args.slo:
@@ -1144,7 +1146,9 @@ def make_parser() -> argparse.ArgumentParser:
     serve_p.add_argument("--retry-after-ms", type=float, default=50.0,
                          help="backoff hint attached to shed responses")
     serve_p.add_argument("--checkpoint-dir", metavar="DIR",
-                         help="snapshot the served ORAM state into DIR")
+                         help="snapshot the served ORAM state into DIR "
+                              "(one-bridge backend; a fleet snapshots "
+                              "under --shard-dir)")
     serve_p.add_argument("--checkpoint-every", type=int, default=500,
                          metavar="N",
                          help="checkpoint every N served accesses "
