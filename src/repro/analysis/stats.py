@@ -2,17 +2,7 @@
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
-
-
-def geometric_mean(values: Sequence[float]) -> float:
-    """Geometric mean of positive values (the paper's cross-workload aggregate)."""
-    if not values:
-        raise ValueError("geometric mean of empty sequence")
-    if any(v <= 0 for v in values):
-        raise ValueError("geometric mean requires positive values")
-    return math.exp(sum(math.log(v) for v in values) / len(values))
 
 
 def mean(values: Sequence[float]) -> float:
@@ -20,30 +10,3 @@ def mean(values: Sequence[float]) -> float:
     if not values:
         raise ValueError("mean of empty sequence")
     return sum(values) / len(values)
-
-
-def stdev(values: Sequence[float]) -> float:
-    """Population standard deviation."""
-    mu = mean(values)
-    return math.sqrt(sum((v - mu) ** 2 for v in values) / len(values))
-
-
-def percentile(values: Sequence[float], q: float) -> float:
-    """Linear-interpolated percentile, ``q`` in [0, 100]."""
-    if not values:
-        raise ValueError("percentile of empty sequence")
-    if not 0 <= q <= 100:
-        raise ValueError(f"q must be in [0, 100], got {q}")
-    ordered = sorted(values)
-    pos = (len(ordered) - 1) * q / 100
-    lo = int(math.floor(pos))
-    hi = int(math.ceil(pos))
-    if lo == hi:
-        return ordered[lo]
-    frac = pos - lo
-    return ordered[lo] * (1 - frac) + ordered[hi] * frac
-
-
-def intervals(times: Sequence[float]) -> list[float]:
-    """Differences between consecutive timestamps (e.g. miss intervals)."""
-    return [b - a for a, b in zip(times, times[1:])]

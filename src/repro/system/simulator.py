@@ -280,7 +280,6 @@ class SystemSimulator:
         completions: list[float] = []
         served = 0
         bus = self.bus
-        observed = bool(bus._subs)
 
         if restore and checkpointer is not None:
             loaded = checkpointer.load_latest()
