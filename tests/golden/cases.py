@@ -49,6 +49,24 @@ bytes of the four ``shard-<k>/intents.log`` files read after
 ``close()``: the on-disk log that ``--restore`` replays must stay
 readable across versions.
 
+Baseline cases digest the same four fields as the simulation cases (no
+``merkle_root``) for the baselines and comparators of Figs. 11 and
+16-18 on h264ref, built as ``benchmarks/_support.make_config`` builds
+them (L=14, utilization 0.25): the insecure DRAM backend, Tiny with
+treetop-3 and Tiny with XOR compression under timing protection, and
+dynamic-3 on the 4-core O3 CPU under timing protection.
+
+Metrics cases pin every counter, gauge and histogram of
+:meth:`MetricsCollector.to_dict() <repro.obs.metrics.MetricsCollector.to_dict>`
+as exact values, one field per instrument (``counters/<name>``,
+``gauges/<name>``, ``histograms/<name>``), so a failure names the
+instrument that moved: the default ``repro run`` configuration
+(dynamic-3, h264ref, 20,000 requests, L=14), dynamic-3 on mcf (L=8,
+timing protection at 800 cycles, 4,000 requests), static-4 on mcf (L=10,
+integrity, timing protection at 800 cycles, 4,000 requests) and Tiny
+with treetop-3 under timing protection on h264ref (10,000 requests), the
+one scheme that serves from the treetop.  All run with seed 1.
+
 Counter cases pin exact counter values rather than digests, so a
 failure names the counter that moved.  ``counters/dynamic-3-L10/mcf``
 runs dynamic-3 on mcf (L=10, 2,000 requests, seed 1) under a
@@ -68,6 +86,7 @@ from pathlib import Path
 from random import Random
 from tempfile import TemporaryDirectory
 
+from repro.cpu.core import CpuConfig
 from repro.faults.injector import FaultPlan
 from repro.mem.dram import DramConfig
 from repro.obs.events import (
@@ -84,7 +103,7 @@ from repro.security.adversary import AccessPatternObserver
 from repro.serialize import canonical_json, dataclass_to_dict, stable_hash
 from repro.serve.scheduler_bridge import OramServeBridge
 from repro.shard.supervisor import ShardSettings, ShardSupervisor
-from repro.system.config import SystemConfig
+from repro.system.config import SystemConfig, named_config
 from repro.system.simulator import simulate
 from repro.workloads.spec import get_workload
 
@@ -106,11 +125,67 @@ def _sim_configs() -> dict[str, SystemConfig]:
     }
 
 
+def _figure_config(
+    scheme: str, tp: bool = False, treetop: int = 0, xor: bool = False,
+    o3: bool = False,
+) -> SystemConfig:
+    """A figure-suite configuration, built as
+    ``benchmarks/_support.make_config`` builds it."""
+    oram = OramConfig(levels=14, utilization=0.25, treetop_levels=treetop,
+                      xor_compression=xor)
+    config = named_config(scheme, oram=oram)
+    if xor:
+        config = config.with_(name=f"{config.name}+XOR")
+    if treetop:
+        config = config.with_(name=f"{config.name}+Treetop-{treetop}")
+    if tp:
+        config = config.with_timing_protection()
+    if o3:
+        config = config.with_(cpu=CpuConfig.out_of_order(cores=4))
+    return config
+
+
+def _baseline_configs() -> dict[str, SystemConfig]:
+    """The baselines and comparators of Figs. 11 and 16-18."""
+    return {
+        "insecure": _figure_config("insecure"),
+        "tiny-treetop-3-tp800": _figure_config("tiny", tp=True, treetop=3),
+        "tiny-xor-tp800": _figure_config("tiny", tp=True, xor=True),
+        "dynamic-3-o3-tp800": _figure_config("dynamic-3", tp=True, o3=True),
+    }
+
+
 SIM_CASES = {
     f"{scheme}/{workload}": (scheme, workload)
     for scheme in _sim_configs()
     for workload in SIM_WORKLOADS
 }
+SIM_CASES.update(
+    {f"{scheme}/h264ref": (scheme, "h264ref") for scheme in _baseline_configs()}
+)
+
+
+def _metrics_runs() -> dict[str, tuple[SystemConfig, str, int]]:
+    """``(config, workload, requests)`` of each metrics case."""
+    return {
+        "metrics/dynamic-3/h264ref": (SystemConfig.dynamic(3), "h264ref", 20_000),
+        "metrics/dynamic-3-L8-tp800/mcf": (
+            SystemConfig.dynamic(3, oram=OramConfig(levels=8))
+            .with_timing_protection(800.0),
+            "mcf", 4_000,
+        ),
+        "metrics/static-4-L10-integrity-tp800/mcf": (
+            SystemConfig.static(4, oram=OramConfig(levels=10, integrity=True))
+            .with_timing_protection(800.0),
+            "mcf", 4_000,
+        ),
+        "metrics/tiny-treetop-3-tp800/h264ref": (
+            _figure_config("tiny", tp=True, treetop=3), "h264ref", 10_000,
+        ),
+    }
+
+
+METRICS_CASES = tuple(_metrics_runs())
 
 RECOVER_CASES = {"static-4-integrity-recover/mcf": "mcf"}
 RECOVER_REQUESTS = 20_000
@@ -189,13 +264,14 @@ def _capturing_filter(captured: dict, wrap=None):
 
 
 def run_sim_case(name: str) -> dict[str, str]:
-    """Digests of one traced simulation case."""
+    """Digests of one traced simulation or baseline case."""
     scheme, workload = SIM_CASES[name]
+    config = {**_sim_configs(), **_baseline_configs()}[scheme]
     bus, tracer, duplications = _traced_bus()
     observer = AccessPatternObserver()
     captured: dict = {}
     result = simulate(
-        _sim_configs()[scheme], workload, num_requests=SIM_REQUESTS,
+        config, workload, num_requests=SIM_REQUESTS,
         bus=bus, observer=observer, backend_filter=_capturing_filter(captured),
     )
     out = {
@@ -204,10 +280,24 @@ def run_sim_case(name: str) -> dict[str, str]:
         "spans": _trees_digest(tracer),
         "duplications": stable_hash(duplications),
     }
-    integrity = captured["controller"].integrity
+    # The insecure backend has no controller.
+    integrity = getattr(captured["controller"], "integrity", None)
     if integrity is not None:
         out["merkle_root"] = integrity.root.hex()
     return out
+
+
+def run_metrics_case(name: str) -> dict[str, object]:
+    """Every instrument a :class:`MetricsCollector` exports for one run."""
+    config, workload, requests = _metrics_runs()[name]
+    bus = EventBus()
+    collector = MetricsCollector(bus)
+    simulate(config, workload, num_requests=requests, seed=1, bus=bus)
+    return {
+        f"{kind}/{instrument}": value
+        for kind, instruments in collector.to_dict().items()
+        for instrument, value in instruments.items()
+    }
 
 
 def run_recover_case(name: str) -> dict[str, str]:
@@ -361,6 +451,8 @@ def run_counter_case(name: str) -> dict[str, int]:
 def run_case(name: str) -> dict[str, object]:
     if name in COUNTER_CASES:
         return run_counter_case(name)
+    if name in METRICS_CASES:
+        return run_metrics_case(name)
     if name in SIM_CASES:
         return run_sim_case(name)
     if name in RECOVER_CASES:
@@ -372,4 +464,5 @@ def run_case(name: str) -> dict[str, object]:
 
 ALL_CASES = [
     *SIM_CASES, *RECOVER_CASES, *RING_CASES, *SERVE_CASES, *COUNTER_CASES,
+    *METRICS_CASES,
 ]
