@@ -39,7 +39,6 @@ from repro.mem.dram import DramModel, PathTimer
 from repro.obs.events import (
     DUP_HD,
     DUP_RD,
-    BlockServed,
     DuplicationPlaced,
     EventBus,
     SpanFinished,
@@ -101,7 +100,6 @@ class ShadowOramController(TinyOramController):
         self.hot_cache = HotAddressCache(
             self.shadow_config.hot_cache_sets,
             self.shadow_config.hot_cache_ways,
-            bus=self.bus,
         )
         self.partition = self._build_partition_policy()
         self.shadow_stats = ShadowStats()
@@ -143,18 +141,6 @@ class ShadowOramController(TinyOramController):
         self.stats.shadow_stash_hits += 1
         self.stats.onchip_serves += 1
         ready = now + self.config.onchip_latency
-        if self.bus._detail:
-            self.bus.emit(
-                BlockServed(
-                    addr=addr,
-                    op=op,
-                    source=SERVED_SHADOW_STASH,
-                    level=-1,
-                    onchip=True,
-                    core=self.bus.core,
-                    ts=ready,
-                )
-            )
         return AccessResult(
             addr=addr,
             op=op,

@@ -12,8 +12,6 @@ entries, our default of 32 sets x 4 ways.
 
 from __future__ import annotations
 
-from repro.obs.events import EventBus, HotAddressTouched
-
 
 class HotAddressCache:
     """Set-associative LFU counter cache.
@@ -21,18 +19,13 @@ class HotAddressCache:
     Args:
         sets: Number of sets (power of two recommended).
         ways: Associativity.
-        bus: Observability bus; every :meth:`touch` is reported while
-            subscribers are attached.
     """
 
-    def __init__(
-        self, sets: int = 32, ways: int = 4, bus: EventBus | None = None
-    ) -> None:
+    def __init__(self, sets: int = 32, ways: int = 4) -> None:
         if sets < 1 or ways < 1:
             raise ValueError(f"cache geometry must be positive, got {sets}x{ways}")
         self.sets = sets
         self.ways = ways
-        self.bus = bus if bus is not None else EventBus()
         self._lines: list[dict[int, int]] = [{} for _ in range(sets)]
         # Merged view over all sets.  An address maps to exactly one set,
         # so the union is collision-free; keeping it up to date on touch /
@@ -59,8 +52,6 @@ class HotAddressCache:
             line[addr] = count
             self._all[addr] = count
             self.hits += 1
-            if self.bus._detail:
-                self._emit_touch(addr, count, hit=True)
             return count
         self.misses += 1
         if len(line) >= self.ways:
@@ -70,13 +61,7 @@ class HotAddressCache:
             self.evictions += 1
         line[addr] = 1
         self._all[addr] = 1
-        if self.bus._detail:
-            self._emit_touch(addr, 1, hit=False)
         return 1
-
-    def _emit_touch(self, addr: int, count: int, hit: bool) -> None:
-        bus = self.bus
-        bus.emit(HotAddressTouched(addr=addr, count=count, hit=hit, ts=bus.now))
 
     def hotness(self, addr: int) -> int:
         """Access count of ``addr``; 0 when the address is not tracked.

@@ -71,6 +71,9 @@ class DriCounter:
 class PartitionPolicy:
     """Static partitioning: a fixed level ``P`` for the whole run."""
 
+    # Times ``P`` moved; a static level never does.
+    adjustments = 0
+
     def __init__(
         self, level: int, max_level: int, bus: EventBus | None = None
     ) -> None:

@@ -1,35 +1,42 @@
 """Typed event bus: the spine of the observability layer.
 
 Every stage of the simulator (`TinyOramController`, `ShadowOramController`,
-`RequestScheduler`, `Stash`, `HotAddressCache`, the partition policies)
-emits small, slotted, frozen event dataclasses onto a shared
+`RequestScheduler`, the partition policies, the system backend) emits
+small, slotted, frozen event dataclasses onto a shared
 :class:`EventBus`.  Subscribers — the metrics collector, the Perfetto
 timeline builder, the JSONL logger, the span tracer — are strictly
 opt-in; with no subscribers attached the bus costs one attribute test
 per would-be emission site, and no event object is ever constructed.
 
 Events come in two families with one guard each.  The span family
-(:data:`SPAN_EVENT_TYPES`: ``SpanStarted``, ``SpanFinished`` and
-``RequestCompleted``) is emitted whenever anyone subscribes; every other
-event only when some subscriber declared it wants more than the span
-family (``bus._detail``, derived from the subscriptions)::
+(:data:`SPAN_EVENT_TYPES`: ``SpanStarted``, ``SpanFinished``, each
+request root's ``RequestCompleted`` and the run's one ``RunFinished``)
+is emitted whenever anyone subscribes; every other event only when some
+subscriber declared it wants more than the span family (``bus._detail``,
+derived from the subscriptions)::
 
     bus = self.bus
     if bus._subs:
         bus.emit(SpanStarted(name="stash_scan", ts=now))
     if bus._detail:
-        bus.emit(BlockServed(addr=addr, op=op, source="stash", ...))
+        bus.emit(DuplicationPlaced(addr=addr, level=level, ...))
 
 A span-only run (``repro run --spans``, ``repro profile``) therefore
-builds no stash, duplication or serve events it would throw away.  Path
-reads, RW evictions and dummy requests are recorded by their spans alone
-(``path_read``/``eviction_read`` with the read's purpose as ``detail``,
-``eviction``, and the ``dummy`` root); no second event repeats them.
+builds no duplication, partition or recovery event it would throw away.
+Nothing is counted twice: path reads, RW evictions and dummy requests
+are recorded by their spans alone (``path_read``/``eviction_read`` with
+the read's purpose as ``detail``, ``eviction``, and the ``dummy`` root);
+per-access facts no stat holds (the serving level, the stash occupancy
+after the access) ride on ``RequestCompleted``; and the counts the
+simulator's stats already keep arrive once, on ``RunFinished``.  The
+detail family holds what neither the stats nor the roots record: which
+copy went to which slot (``DuplicationPlaced``), the series of partition
+levels (``PartitionAdjusted``), and the rare sweep, recovery, checkpoint,
+shard and SLO events.
 
-Components without their own clock (the hot address cache, the partition
-policy, the shadow fill) stamp events with ``bus.now``, which the
-controller advances at the start of every access while subscribers are
-attached.
+Components without their own clock (the partition policy, the shadow
+fill) stamp events with ``bus.now``, which the controller advances at the
+start of every access while subscribers are attached.
 """
 
 from __future__ import annotations
@@ -51,34 +58,18 @@ PURPOSE_EVICTION = "eviction"
 # Event taxonomy
 # ----------------------------------------------------------------------
 @dataclass(slots=True, frozen=True)
-class BlockServed:
-    """The intended block of a real request reached the LLC.
-
-    Exactly one is emitted per non-dummy ``access()``.  ``source`` is one
-    of ``stash`` / ``shadow_stash`` / ``treetop`` / ``shadow_path`` /
-    ``path``; ``level`` is the tree level the serving copy was found at
-    (``-1`` for on-chip sources); ``onchip`` mirrors the controller's
-    ``onchip_serves`` accounting (a shadow-stash serve discovered *during*
-    a path read is not an on-chip serve); ``core`` is the issuing CPU core
-    when known (``-1`` outside the full-system simulator).
-    """
-
-    addr: int
-    op: str
-    source: str
-    level: int
-    onchip: bool
-    core: int
-    ts: float  # data_ready
-
-
-@dataclass(slots=True, frozen=True)
 class RequestCompleted:
     """One ``access()``/``dummy_access()`` call returned.
 
     Carries the full :class:`~repro.oram.tiny.AccessResult` timeline so
-    subscribers (the request tracer, the timeline builder) need no access
-    to controller internals.  ``data_ready`` is ``finish`` for dummies.
+    subscribers (the span tracer, the timeline builder, the metrics
+    collector) need no access to controller internals.  ``data_ready``
+    is ``finish`` for dummies.  ``level`` is the tree level the serving
+    copy was read from (``-1`` for on-chip serves and dummies);
+    ``stash_real``/``stash_shadow`` count the stash's real blocks and
+    replaceable shadows after the call, the occupancy Path ORAM's stash
+    bound speaks of.  The last three default so that logs written before
+    they existed still load.
     """
 
     addr: int
@@ -90,6 +81,40 @@ class RequestCompleted:
     evicted: bool
     path_accesses: int
     core: int
+    level: int = -1
+    stash_real: int = 0
+    stash_shadow: int = 0
+
+
+@dataclass(slots=True, frozen=True)
+class RunFinished:
+    """A full-system ORAM run ended; carries the simulator's own stats.
+
+    Emitted once by :meth:`OramBackend.finalize
+    <repro.system.backend.OramBackend.finalize>` from checkpointed
+    state, so it covers the whole run after a restore too: ``OramStats``
+    counters, the backend's real launches, the scheduler's
+    timing-protected launches, ``ShadowStats``' shadows per kind, the Hot
+    Address Cache's hits and misses and the partition level's moves
+    (``0`` where a scheme has no such part).
+    """
+
+    accesses: int
+    real_requests: int
+    dummy_accesses: int
+    stash_hits: int
+    shadow_stash_hits: int
+    shadow_path_serves: int
+    treetop_serves: int
+    onchip_serves: int
+    path_reads: int
+    evictions: int
+    slot_waits: int
+    rd_shadows: int
+    hd_shadows: int
+    hot_cache_hits: int
+    hot_cache_misses: int
+    partition_adjustments: int
 
 
 @dataclass(slots=True, frozen=True)
@@ -104,41 +129,12 @@ class DuplicationPlaced:
 
 
 @dataclass(slots=True, frozen=True)
-class StashOccupancy:
-    """Stash occupancy after one ``access()``/``dummy_access()`` call
-    (real blocks + replaceable shadows), stamped with its ``finish``."""
-
-    real: int
-    shadow: int
-    ts: float
-
-
-@dataclass(slots=True, frozen=True)
 class PartitionAdjusted:
     """The dynamic partitioning level moved (Section IV-D-2)."""
 
     old_level: int
     new_level: int
     counter: int
-    ts: float
-
-
-@dataclass(slots=True, frozen=True)
-class SlotAligned:
-    """A real request waited for its constant-rate launch slot."""
-
-    ready: float
-    slot: float
-    wait: float
-
-
-@dataclass(slots=True, frozen=True)
-class HotAddressTouched:
-    """The Hot Address Cache observed one LLC miss."""
-
-    addr: int
-    count: int
-    hit: bool
     ts: float
 
 
@@ -370,13 +366,10 @@ class CheckpointRestored:
 
 
 EVENT_TYPES: tuple[type, ...] = (
-    BlockServed,
     RequestCompleted,
+    RunFinished,
     DuplicationPlaced,
-    StashOccupancy,
     PartitionAdjusted,
-    SlotAligned,
-    HotAddressTouched,
     SweepPointStarted,
     SweepPointFinished,
     SweepPointRetried,
@@ -397,9 +390,13 @@ EVENT_TYPES: tuple[type, ...] = (
 
 EVENT_BY_NAME: dict[str, type] = {cls.__name__: cls for cls in EVENT_TYPES}
 
-#: The span family: what a span tracer reads.  Emission sites of every
-#: other event test :attr:`EventBus._detail` instead of ``_subs``.
-SPAN_EVENT_TYPES = frozenset({SpanStarted, SpanFinished, RequestCompleted})
+#: The span family: the spans, their request roots' ``RequestCompleted``
+#: and the run's ``RunFinished``, emitted whenever anyone subscribes.
+#: Emission sites of every other event test :attr:`EventBus._detail`
+#: instead of ``_subs``.
+SPAN_EVENT_TYPES = frozenset(
+    {SpanStarted, SpanFinished, RequestCompleted, RunFinished}
+)
 
 
 def event_to_dict(event: object) -> dict[str, object]:

@@ -2,13 +2,17 @@
 
 :class:`MetricsRegistry` is a flat namespace of named instruments with a
 stable JSON export, and :class:`MetricsCollector` is the bus subscriber
-that populates one from the event stream — the single source of truth the
-CLI's ``--metrics`` flag serialises.  Its counters are defined so that a
+that populates one — the single source the CLI's ``--metrics`` flag and
+each sweep worker's snapshot serialise.  Each fact is counted once: the
+collector's counters are read from the stats the simulator keeps, which
+arrive on the run's one :class:`~repro.obs.events.RunFinished`, so a
 seeded full-system run reproduces the corresponding
-:class:`~repro.system.metrics.SimulationResult` fields exactly
+:class:`~repro.system.metrics.SimulationResult` fields by construction
 (``requests/data`` = LLC misses served, ``requests/real_oram`` = real ORAM
 launches, ``requests/dummy`` = dummy launches, ``served/onchip`` = on-chip
-hits, ``served/shadow_path`` = early-forwarded serves).
+hits, ``served/shadow_path`` = early-forwarded serves).  Histograms and
+gauges come from the request roots and spans; the rest from the events
+no stat holds.
 """
 
 from __future__ import annotations
@@ -19,20 +23,18 @@ from typing import IO
 
 from repro.obs.events import (
     BlockRecovered,
-    BlockServed,
     CheckpointRestored,
     CheckpointSaved,
     CorruptionDetected,
     DuplicationPlaced,
     EventBus,
-    HotAddressTouched,
     PartitionAdjusted,
     PosmapRepaired,
     RecoveryFailed,
     RequestCompleted,
-    SlotAligned,
+    RunFinished,
+    SpanFinished,
     SpanStarted,
-    StashOccupancy,
 )
 
 
@@ -255,27 +257,25 @@ DRI_BUCKETS = LATENCY_BUCKETS
 class MetricsCollector:
     """Bus subscriber that fills a :class:`MetricsRegistry`.
 
-    Instruments populated:
-
-    * ``requests/data`` — non-dummy ``access()`` calls (== LLC misses in
-      the full-system simulator without writeback modelling);
-    * ``requests/real_oram`` — data requests that launched path accesses;
-    * ``requests/dummy`` — dummy requests;
-    * ``served/<source>``, ``served/onchip``, ``served/shadow_path``;
-    * ``paths/reads/<purpose>``, ``evictions`` and
-      ``paths/reads/dummy_issued``, counted from the ``path_read`` /
-      ``eviction_read`` (purpose in ``detail``), ``eviction`` and
-      ``dummy`` spans' starts;
-    * ``duplication/<kind>``;
-    * ``scheduler/slot_waits``, ``hot_cache/{hits,misses}``;
-    * ``partition/adjustments`` counter + ``partition/level`` gauge;
-    * ``stash/real`` and ``stash/shadow`` gauges and the
-      ``stash/real_occupancy`` histogram, sampled once after each
-      ``access()``/``dummy_access()`` (the occupancy Path ORAM's stash
-      bound speaks of; the transient peak within an access is
-      ``SimulationResult.stash_peak``);
-    * histograms ``latency/data_request``, ``latency/dummy_request``,
-      ``shadow/hit_level``, ``dri/interval``.
+    Counters are read once, from the run's :class:`RunFinished`, each
+    equal to a stat (DESIGN.md §6 lists which): ``requests/*``,
+    ``served/*`` (``served/path`` is what the other sources leave),
+    ``paths/reads/*``, ``evictions``, ``scheduler/slot_waits``,
+    ``duplication/{rd,hd}``, ``hot_cache/*`` and
+    ``partition/adjustments``; a counter that is 0 is not exported.
+    Each request root's :class:`RequestCompleted` feeds the histograms
+    ``latency/data_request``, ``latency/dummy_request``,
+    ``shadow/hit_level`` (serving level of shadow-path serves) and
+    ``dri/interval``, and the ``stash/real``/``stash/shadow`` gauges and
+    ``stash/real_occupancy`` histogram: one sample after each access, the
+    occupancy Path ORAM's stash bound speaks of (the transient peak
+    within an access is ``SimulationResult.stash_peak``).  Each ``stall``
+    span sets ``scheduler/last_slot_wait``.  Events that no stat holds
+    feed ``duplication/from_stash``, the ``partition/level`` and
+    ``partition/dri_counter`` gauges, and the recovery and checkpoint
+    counters (under the ``raise`` policy a run dies before its
+    ``RunFinished``).  After a restore, ``RunFinished`` covers the whole
+    run; everything else covers the events after the restore.
 
     ``latency/data_request`` measures launch-to-data latency (the
     controller's view); the CPU-perceived latency reported by
@@ -294,57 +294,45 @@ class MetricsCollector:
         self.occupancy = reg.histogram("stash/real_occupancy", OCCUPANCY_BUCKETS)
         self.dri = reg.histogram("dri/interval", DRI_BUCKETS)
         self._last_real_finish: float | None = None
+        self._stall_start = 0.0
         bus.subscribe(self.on_event)
 
     # ------------------------------------------------------------------
     def on_event(self, event: object) -> None:
         reg = self.registry
+        # Most frequent first: spans, placements, then request roots.
         if type(event) is SpanStarted:
-            name = event.name
-            if name == "path_read" or name == "eviction_read":
-                reg.counter(f"paths/reads/{event.detail}").inc()
-            elif name == "eviction":
-                reg.counter("evictions").inc()
-            elif name == "dummy":
-                reg.counter("paths/reads/dummy_issued").inc()
-        elif type(event) is BlockServed:
-            reg.counter(f"served/{event.source}").inc()
-            if event.onchip:
-                reg.counter("served/onchip").inc()
-            if event.source == "shadow_path":
-                self.shadow_level.observe(float(event.level))
+            if event.name == "stall":
+                self._stall_start = event.ts
+        elif type(event) is SpanFinished:
+            if event.name == "stall":
+                reg.gauge("scheduler/last_slot_wait").set(
+                    event.ts - self._stall_start
+                )
+        elif type(event) is DuplicationPlaced:
+            if event.from_stash:
+                reg.counter("duplication/from_stash").inc()
         elif type(event) is RequestCompleted:
+            self.occupancy.observe(float(event.stash_real))
+            reg.gauge("stash/real").set(event.stash_real)
+            reg.gauge("stash/shadow").set(event.stash_shadow)
             if event.op == "dummy":
-                reg.counter("requests/dummy").inc()
                 self.dummy_latency.observe(event.finish - event.issue)
                 return
-            reg.counter("requests/data").inc()
             self.latency.observe(event.data_ready - event.issue)
+            if event.served_from == "shadow_path":
+                self.shadow_level.observe(float(event.level))
             if event.path_accesses > 0:
-                reg.counter("requests/real_oram").inc()
                 if self._last_real_finish is not None:
                     gap = event.issue - self._last_real_finish
                     if gap > 0:
                         self.dri.observe(gap)
                 self._last_real_finish = event.finish
-        elif type(event) is StashOccupancy:
-            self.occupancy.observe(float(event.real))
-            reg.gauge("stash/real").set(event.real)
-            reg.gauge("stash/shadow").set(event.shadow)
-        elif type(event) is DuplicationPlaced:
-            reg.counter(f"duplication/{event.kind}").inc()
-            if event.from_stash:
-                reg.counter("duplication/from_stash").inc()
-        elif type(event) is SlotAligned:
-            reg.counter("scheduler/slot_waits").inc()
-            if event.wait > 0:
-                reg.gauge("scheduler/last_slot_wait").set(event.wait)
         elif type(event) is PartitionAdjusted:
-            reg.counter("partition/adjustments").inc()
             reg.gauge("partition/level").set(event.new_level)
             reg.gauge("partition/dri_counter").set(event.counter)
-        elif type(event) is HotAddressTouched:
-            reg.counter("hot_cache/hits" if event.hit else "hot_cache/misses").inc()
+        elif type(event) is RunFinished:
+            self._count_run(event)
         elif type(event) is CorruptionDetected:
             reg.counter("oram/corruptions").inc()
         elif type(event) is BlockRecovered:
@@ -361,6 +349,39 @@ class MetricsCollector:
             reg.counter("checkpoint/saved").inc()
         elif type(event) is CheckpointRestored:
             reg.counter("checkpoint/restored").inc()
+
+    def _count_run(self, run: RunFinished) -> None:
+        counts = {
+            "requests/data": run.accesses,
+            "requests/real_oram": run.real_requests,
+            "requests/dummy": run.dummy_accesses,
+            # Every access has one source: path serves are the rest.
+            "served/path": (
+                run.accesses - run.stash_hits - run.shadow_stash_hits
+                - run.shadow_path_serves - run.treetop_serves
+            ),
+            "served/stash": run.stash_hits,
+            "served/shadow_stash": run.shadow_stash_hits,
+            "served/shadow_path": run.shadow_path_serves,
+            "served/treetop": run.treetop_serves,
+            "served/onchip": run.onchip_serves,
+            "paths/reads/request": (
+                run.path_reads - run.dummy_accesses - run.evictions
+            ),
+            "paths/reads/dummy": run.dummy_accesses,
+            "paths/reads/dummy_issued": run.dummy_accesses,
+            "paths/reads/eviction": run.evictions,
+            "evictions": run.evictions,
+            "scheduler/slot_waits": run.slot_waits,
+            "duplication/rd": run.rd_shadows,
+            "duplication/hd": run.hd_shadows,
+            "hot_cache/hits": run.hot_cache_hits,
+            "hot_cache/misses": run.hot_cache_misses,
+            "partition/adjustments": run.partition_adjustments,
+        }
+        for name, value in counts.items():
+            if value:
+                self.registry.counter(name).inc(value)
 
     # ------------------------------------------------------------------
     def to_dict(self) -> dict[str, object]:

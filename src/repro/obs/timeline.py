@@ -8,13 +8,14 @@ and renders the event stream as Chrome trace-event JSON (the format both
   ``data_ready``, named by its serving source
   (``RequestCompleted.served_from``);
 * one track for the ORAM bus — duplication placements;
-* one track for the scheduler — slot-alignment waits and served-request
-  marks of the serving layer;
+* one track for the scheduler — slot-alignment waits (each ``stall``
+  span, redrawn as a slice) and served-request marks of the serving
+  layer;
 * one track for integrity/recovery — corruption detections, heals,
   posmap repairs, and checkpoint save/restore marks;
 * a separate process for the sweep engine's host-side point lifecycle;
-* counter tracks for the partitioning level, stash occupancy (one sample
-  after each access), and the Hot Address Cache hit/miss tallies;
+* counter tracks for the partitioning level and the stash occupancy (one
+  sample after each access, from its ``RequestCompleted``);
 * three span tracks (scheduler / ORAM / DRAM) rendering the causal span
   trees of :mod:`repro.obs.spans` as nested B/E duration events, with
   flow arrows linking each request's hop from its scheduler root through
@@ -25,9 +26,8 @@ and renders the event stream as Chrome trace-event JSON (the format both
 Dispatch is a ``{event class: handler}`` table covering *every* class in
 :data:`~repro.obs.events.EVENT_TYPES` — the constructor refuses to build
 otherwise, so adding an event type without a timeline rendering is an
-immediate error instead of a silently empty track.  ``BlockServed`` maps
-to a no-op: its source is drawn from the ``RequestCompleted`` that
-follows it.
+immediate error instead of a silently empty track.  ``RunFinished``
+maps to a no-op: the run's totals have no place on a timeline.
 
 Simulated cycles are written as microseconds (``ts``/``dur``), which keeps
 the UI units readable; 1 us on screen == 1 CPU cycle.  Timestamps within a
@@ -44,24 +44,21 @@ from typing import IO
 from repro.obs.events import (
     EVENT_TYPES,
     BlockRecovered,
-    BlockServed,
     CheckpointRestored,
     CheckpointSaved,
     CorruptionDetected,
     DuplicationPlaced,
     EventBus,
-    HotAddressTouched,
     PartitionAdjusted,
     PosmapRepaired,
     RecoveryFailed,
     RequestCompleted,
+    RunFinished,
     ServeRequestServed,
     ShardRecovered,
     SloStateChanged,
-    SlotAligned,
     SpanFinished,
     SpanStarted,
-    StashOccupancy,
     SweepPointFailed,
     SweepPointFinished,
     SweepPointRetried,
@@ -94,8 +91,7 @@ class TimelineBuilder:
         self.events: list[dict[str, object]] = []
         self._last_ts: dict[tuple[int, int], float] = {}
         self._cores_seen: set[int] = set()
-        self._hot_hits = 0
-        self._hot_misses = 0
+        self._stall_start = 0.0
         self._sweep_seq = 0
         self._sweep_seen = False
         self._span_seen = False
@@ -105,15 +101,12 @@ class TimelineBuilder:
         # 1 = ORAM, 2 = DRAM).
         self._flow_stack: list[dict[str, int]] = []
         self._handlers: dict[type, object] = {
-            BlockServed: self._ignore,
             RequestCompleted: self._on_request_completed,
+            RunFinished: self._ignore,
             DuplicationPlaced: self._on_duplication,
-            StashOccupancy: self._on_stash_occupancy,
             PartitionAdjusted: self._on_partition,
-            SlotAligned: self._on_slot_aligned,
             SpanStarted: self._on_span_started,
             SpanFinished: self._on_span_finished,
-            HotAddressTouched: self._on_hot_address,
             SweepPointStarted: self._on_sweep_point,
             SweepPointFinished: self._on_sweep_point,
             SweepPointRetried: self._on_sweep_point,
@@ -218,6 +211,12 @@ class TimelineBuilder:
         pass
 
     def _on_request_completed(self, event: RequestCompleted) -> None:
+        self._counter(
+            "stash occupancy",
+            event.finish,
+            {"real": float(event.stash_real),
+             "shadow": float(event.stash_shadow)},
+        )
         if event.op == "dummy":
             return
         core = event.core if event.core >= 0 else 0
@@ -243,17 +242,6 @@ class TimelineBuilder:
              "from_stash": event.from_stash},
             cat="duplication",
         )
-
-    def _on_slot_aligned(self, event: SlotAligned) -> None:
-        if event.wait > 0:
-            self._slice(
-                PID_ORAM,
-                TID_SCHEDULER,
-                "slot wait",
-                event.ready,
-                event.slot,
-                cat="scheduler",
-            )
 
     # ------------------------------------------------------------------
     # Span rendering: nested B/E duration events + flow arrows
@@ -283,6 +271,8 @@ class TimelineBuilder:
 
     def _on_span_started(self, event: SpanStarted) -> None:
         self._span_seen = True
+        if event.name == "stall":
+            self._stall_start = event.ts
         pid, tid = self._span_track(event.name)
         ts = self._clamped(pid, tid, event.ts)
         begin: dict[str, object] = {
@@ -330,29 +320,19 @@ class TimelineBuilder:
         )
         if event.name in _ROOT_SPANS and self._flow_stack:
             self._flow_stack.pop()
+        elif event.name == "stall":
+            self._slice(
+                PID_ORAM,
+                TID_SCHEDULER,
+                "slot wait",
+                self._stall_start,
+                event.ts,
+                cat="scheduler",
+            )
 
     def _on_partition(self, event: PartitionAdjusted) -> None:
         self._counter(
             "partition level", event.ts, {"P": float(event.new_level)}
-        )
-
-    def _on_stash_occupancy(self, event: StashOccupancy) -> None:
-        self._counter(
-            "stash occupancy",
-            event.ts,
-            {"real": float(event.real), "shadow": float(event.shadow)},
-        )
-
-    def _on_hot_address(self, event: HotAddressTouched) -> None:
-        if event.hit:
-            self._hot_hits += 1
-        else:
-            self._hot_misses += 1
-        self._counter(
-            "hot address cache",
-            event.ts,
-            {"hits": float(self._hot_hits),
-             "misses": float(self._hot_misses)},
         )
 
     def _on_sweep_point(self, event: object) -> None:

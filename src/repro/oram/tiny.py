@@ -28,12 +28,10 @@ from repro.obs.events import (
     PURPOSE_DUMMY,
     PURPOSE_EVICTION,
     PURPOSE_REQUEST,
-    BlockServed,
     EventBus,
     RequestCompleted,
     SpanFinished,
     SpanStarted,
-    StashOccupancy,
 )
 from repro.oram.block import Block
 from repro.oram.config import OramConfig
@@ -331,9 +329,9 @@ class TinyOramController:
             # and no RNG draw separates detection from repair.
             leaf = self.recovery.before_request(addr, leaf)
         new_leaf = self.posmap.remap(addr)
+        # ``_oram_access`` reports the access itself: only it knows the
+        # level the serving copy came from.
         result = self._oram_access(addr, op, payload, leaf, new_leaf, now)
-        if observed:
-            self._report(result, "oram_access")
         if self.post_access_hook is not None:
             self.post_access_hook(result)
         return result
@@ -381,20 +379,17 @@ class TinyOramController:
             self.post_access_hook(result)
         return result
 
-    def _report(self, result: AccessResult, root: str) -> None:
+    def _report(self, result: AccessResult, root: str, level: int = -1) -> None:
         """Close one observed access on the bus.
 
-        Emits the stash occupancy the access left (detail subscribers
-        only), its :class:`RequestCompleted` and the close of its
-        ``root`` span (``oram_access`` or ``dummy``).
+        Emits its :class:`RequestCompleted`, with the tree ``level`` the
+        serving copy came from and the stash occupancy the access left,
+        and the close of its ``root`` span (``oram_access`` or
+        ``dummy``).
         """
         bus = self.bus
         finish = result.finish
-        if bus._detail:
-            stash = self.stash
-            bus.emit(StashOccupancy(
-                real=stash.real_count, shadow=stash.shadow_count, ts=finish
-            ))
+        stash = self.stash
         bus.emit(RequestCompleted(
             addr=result.addr,
             op=result.op,
@@ -407,6 +402,9 @@ class TinyOramController:
             evicted=result.evicted,
             path_accesses=result.path_accesses,
             core=bus.core,
+            level=level,
+            stash_real=stash.real_count,
+            stash_shadow=stash.shadow_count,
         ))
         bus.emit(SpanFinished(name=root, ts=finish))
 
@@ -425,18 +423,6 @@ class TinyOramController:
         self.stats.stash_hits += 1
         self.stats.onchip_serves += 1
         ready = now + self.config.onchip_latency
-        if self.bus._detail:
-            self.bus.emit(
-                BlockServed(
-                    addr=addr,
-                    op=op,
-                    source=SERVED_STASH,
-                    level=-1,
-                    onchip=True,
-                    core=self.bus.core,
-                    ts=ready,
-                )
-            )
         return AccessResult(
             addr=addr,
             op=op,
@@ -499,19 +485,7 @@ class TinyOramController:
         if served_from == SERVED_TREETOP:
             self.stats.treetop_serves += 1
             self.stats.onchip_serves += 1
-        if self.bus._detail:
-            self.bus.emit(
-                BlockServed(
-                    addr=addr,
-                    op=op,
-                    source=served_from,
-                    level=served_level,
-                    onchip=served_from == SERVED_TREETOP,
-                    core=self.bus.core,
-                    ts=data_ready,
-                )
-            )
-        return AccessResult(
+        result = AccessResult(
             addr=addr,
             op=op,
             served_from=served_from,
@@ -523,6 +497,9 @@ class TinyOramController:
             evicted=evicted,
             path_accesses=1 + extra_paths,
         )
+        if self.bus._subs:
+            self._report(result, "oram_access", served_level)
+        return result
 
     def _maybe_evict(self, now: float) -> tuple[float, bool, int]:
         """Run the RW eviction phase when the eviction rate says so."""

@@ -17,6 +17,9 @@ small :class:`Backend` protocol:
 A backend answers one question per LLC miss ("when did it launch, when
 was the data ready, when did the hardware free up") and builds the final
 :class:`~repro.system.metrics.SimulationResult` from its own counters.
+The ORAM backend also hands those counters to the bus, once, as a
+:class:`~repro.obs.events.RunFinished`: the metrics collector reads its
+counters there instead of counting per-access events again.
 Future scaling work (multi-channel controllers, sharded ORAM banks,
 remote memory) plugs in here without touching the frontend.
 """
@@ -30,7 +33,7 @@ from typing import Callable, Protocol
 from repro.core.controller import ShadowOramController
 from repro.cpu.trace import LlcMiss
 from repro.mem.dram import DramModel, PathTimer
-from repro.obs.events import EventBus, SpanFinished, SpanStarted
+from repro.obs.events import EventBus, RunFinished, SpanFinished, SpanStarted
 from repro.oram.tiny import Observer, TinyOramController
 from repro.system.config import SystemConfig
 from repro.system.energy import EnergyModel
@@ -185,6 +188,7 @@ class OramBackend:
         """Checkpointable rendering: backend counters + nested state."""
         return {
             "real_requests": self.real_requests,
+            "slot_waits": self.scheduler.slot_waits,
             "partition_levels": list(self.partition_levels),
             "scheduler": self.scheduler.snapshot_state(),
             "controller": self.controller.snapshot_state(),
@@ -193,6 +197,9 @@ class OramBackend:
     def restore_state(self, state: dict[str, object]) -> None:
         """Inverse of :meth:`snapshot_state`."""
         self.real_requests = state["real_requests"]
+        # A checkpoint written before ``slot_waits`` was saved still
+        # restores; its count then covers only the resumed part.
+        self.scheduler.slot_waits = state.get("slot_waits", 0)
         self.partition_levels = list(state["partition_levels"])
         self.scheduler.restore_state(state["scheduler"])
         self.controller.restore_state(state["controller"])
@@ -207,6 +214,8 @@ class OramBackend:
     ) -> SimulationResult:
         controller = self.controller
         scheduler = self.scheduler
+        if controller.bus._subs:
+            self._report_run()
         energy = self.energy_model.oram_energy_nj(controller.stats, end_time)
         return SimulationResult(
             workload=workload_name,
@@ -230,6 +239,36 @@ class OramBackend:
             completions=completions,
             partition_levels=self.partition_levels,
         )
+
+    def _report_run(self) -> None:
+        """Emit :class:`RunFinished`: the stats this run kept, once."""
+        controller = self.controller
+        stats = controller.stats
+        rd = hd = hits = misses = adjustments = 0
+        if self.is_shadow:
+            rd = controller.shadow_stats.rd_shadows
+            hd = controller.shadow_stats.hd_shadows
+            hits = controller.hot_cache.hits
+            misses = controller.hot_cache.misses
+            adjustments = controller.partition.adjustments
+        controller.bus.emit(RunFinished(
+            accesses=stats.accesses,
+            real_requests=self.real_requests,
+            dummy_accesses=stats.dummy_accesses,
+            stash_hits=stats.stash_hits,
+            shadow_stash_hits=stats.shadow_stash_hits,
+            shadow_path_serves=stats.shadow_path_serves,
+            treetop_serves=stats.treetop_serves,
+            onchip_serves=stats.onchip_serves,
+            path_reads=stats.path_reads,
+            evictions=stats.evictions,
+            slot_waits=self.scheduler.slot_waits,
+            rd_shadows=rd,
+            hd_shadows=hd,
+            hot_cache_hits=hits,
+            hot_cache_misses=misses,
+            partition_adjustments=adjustments,
+        ))
 
 
 class InsecureDramBackend:

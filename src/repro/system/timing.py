@@ -15,7 +15,7 @@ stretches land in the DRI.
 
 from __future__ import annotations
 
-from repro.obs.events import EventBus, SlotAligned, SpanFinished, SpanStarted
+from repro.obs.events import EventBus, SpanFinished, SpanStarted
 from repro.system.config import TimingProtectionConfig
 
 
@@ -47,6 +47,10 @@ class RequestScheduler:
         self.dummy_requests = 0
         self.data_busy = 0.0
         self.dummy_busy = 0.0
+        # Timing-protected launches.  Kept out of :meth:`snapshot_state`,
+        # which the serve bridge's state digest covers; the simulator's
+        # backend checkpoints it beside its own counters.
+        self.slot_waits = 0
         self._notes_gaps = hasattr(controller, "note_idle_gap")
 
     def launch_real(self, ready: float) -> float:
@@ -71,10 +75,7 @@ class RequestScheduler:
             slot = max(self.next_slot, self.controller_free)
             self.next_slot = slot + rate
             if ready <= slot:
-                if self.bus._detail:
-                    self.bus.emit(
-                        SlotAligned(ready=ready, slot=slot, wait=slot - ready)
-                    )
+                self.slot_waits += 1
                 if slot > ready and self.bus._subs:
                     self.bus.emit(SpanStarted(name="stall", ts=ready))
                     self.bus.emit(SpanFinished(name="stall", ts=slot))

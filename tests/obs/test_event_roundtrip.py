@@ -16,6 +16,7 @@ from repro.obs.events import (
     EVENT_BY_NAME,
     EVENT_TYPES,
     EventBus,
+    RequestCompleted,
     event_from_dict,
     event_to_dict,
 )
@@ -124,13 +125,57 @@ OLD_POSTMORTEM = """\
 {"type":"SpanFinished","name":"oram_access","ts":0.0,"detail":""}
 """
 
-DELETED_TYPES = {"PathReadStarted", "PathReadFinished"}
+# The first request of ``repro run --scheme dynamic-3 --workload mcf
+# --levels 6 --requests 300 --timing-protection --events FILE``, written
+# when the event set still held SlotAligned, HotAddressTouched,
+# StashOccupancy and BlockServed (since deleted: the stall span, the
+# simulator's stats and the RequestCompleted root record them).  A dummy
+# fires inside the request's launch wait.
+OLD_TP_EVENT_LOG = """\
+{"type":"run_metadata","git":"d897098-dirty","python":"3.11.7","config":"dynamic-3 L=6 Z=5 A=5 N=158 tp@800 inorder","seed":1,"workload":"mcf","requests":300}
+{"type":"SpanStarted","name":"request","ts":26.0,"addr":59,"detail":"read"}
+{"type":"PartitionAdjusted","old_level":3,"new_level":2,"counter":4,"ts":0.0}
+{"type":"SpanStarted","name":"dummy","ts":0.0,"addr":-1,"detail":""}
+{"type":"SpanStarted","name":"path_read","ts":0.0,"addr":-1,"detail":"dummy"}
+{"type":"SpanStarted","name":"dram_read","ts":0.0,"addr":-1,"detail":"stream"}
+{"type":"SpanFinished","name":"dram_read","ts":402.0,"detail":""}
+{"type":"SpanStarted","name":"stash_scan","ts":0.0,"addr":-1,"detail":""}
+{"type":"SpanFinished","name":"stash_scan","ts":0.0,"detail":""}
+{"type":"SpanFinished","name":"path_read","ts":534.0,"detail":""}
+{"type":"StashOccupancy","real":0,"shadow":0,"ts":534.0}
+{"type":"RequestCompleted","addr":-1,"op":"dummy","served_from":null,"issue":0.0,"data_ready":534.0,"finish":534.0,"evicted":false,"path_accesses":1,"core":0}
+{"type":"SpanFinished","name":"dummy","ts":534.0,"detail":""}
+{"type":"SlotAligned","ready":26.0,"slot":800.0,"wait":774.0}
+{"type":"SpanStarted","name":"stall","ts":26.0,"addr":-1,"detail":""}
+{"type":"SpanFinished","name":"stall","ts":800.0,"detail":""}
+{"type":"SpanStarted","name":"oram_access","ts":800.0,"addr":59,"detail":"read"}
+{"type":"SpanStarted","name":"stash_scan","ts":800.0,"addr":-1,"detail":""}
+{"type":"HotAddressTouched","addr":59,"count":1,"hit":false,"ts":800.0}
+{"type":"SpanFinished","name":"stash_scan","ts":800.0,"detail":""}
+{"type":"PartitionAdjusted","old_level":2,"new_level":1,"counter":4,"ts":800.0}
+{"type":"SpanStarted","name":"path_read","ts":800.0,"addr":-1,"detail":"request"}
+{"type":"SpanStarted","name":"dram_read","ts":800.0,"addr":-1,"detail":"stream"}
+{"type":"SpanFinished","name":"dram_read","ts":1202.0,"detail":""}
+{"type":"SpanStarted","name":"stash_scan","ts":800.0,"addr":-1,"detail":""}
+{"type":"SpanFinished","name":"stash_scan","ts":800.0,"detail":""}
+{"type":"SpanFinished","name":"path_read","ts":1334.0,"detail":""}
+{"type":"BlockServed","addr":59,"op":"read","source":"path","level":6,"onchip":false,"core":0,"ts":1301.0}
+{"type":"StashOccupancy","real":1,"shadow":0,"ts":1334.0}
+{"type":"RequestCompleted","addr":59,"op":"read","served_from":"path","issue":800.0,"data_ready":1301.0,"finish":1334.0,"evicted":false,"path_accesses":1,"core":0}
+{"type":"SpanFinished","name":"oram_access","ts":1334.0,"detail":""}
+{"type":"SpanFinished","name":"request","ts":1334.0,"detail":""}
+"""
+
+DELETED_TYPES = {
+    "PathReadStarted", "PathReadFinished", "BlockServed",
+    "HotAddressTouched", "StashOccupancy", "SlotAligned",
+}
 
 
 def kept_events(text):
     """The events of ``text`` whose type this code still defines."""
     records = [json.loads(line) for line in text.splitlines()[1:]]
-    assert DELETED_TYPES <= {r["type"] for r in records}
+    assert DELETED_TYPES & {r["type"] for r in records}
     return [event_from_dict(r) for r in records
             if r["type"] not in DELETED_TYPES]
 
@@ -140,15 +185,21 @@ class TestLogsFromOlderCode:
     still raises on it."""
 
     def test_event_from_dict_refuses_a_deleted_type(self):
-        record = json.loads(OLD_EVENT_LOG.splitlines()[10])
-        assert record["type"] == "PathReadStarted"
-        with pytest.raises(ValueError, match="unknown event type"):
-            event_from_dict(record)
+        deleted = [
+            record
+            for text in (OLD_EVENT_LOG, OLD_TP_EVENT_LOG)
+            for record in map(json.loads, text.splitlines()[1:])
+            if record["type"] in DELETED_TYPES
+        ]
+        assert {record["type"] for record in deleted} == DELETED_TYPES
+        for record in deleted:
+            with pytest.raises(ValueError, match="unknown event type"):
+                event_from_dict(record)
 
     def test_jsonl_log_skips_deleted_types(self):
         loaded = load_events(io.StringIO(OLD_EVENT_LOG))
         expected = kept_events(OLD_EVENT_LOG)
-        assert loaded == expected and len(loaded) == 17
+        assert loaded == expected and len(loaded) == 14
         (trace,) = traces_from_events(loaded)
         assert trace.served_from == "path"
 
@@ -157,7 +208,28 @@ class TestLogsFromOlderCode:
         path.write_text(OLD_POSTMORTEM)
         meta, events = load_postmortem(path)
         assert meta["kind"] == "flight-recorder" and meta["captured"] == 12
-        assert events == kept_events(OLD_POSTMORTEM) and len(events) == 10
+        assert events == kept_events(OLD_POSTMORTEM) and len(events) == 8
+
+    def test_timing_protected_log_skips_deleted_types(self):
+        loaded = load_events(io.StringIO(OLD_TP_EVENT_LOG))
+        assert loaded == kept_events(OLD_TP_EVENT_LOG) and len(loaded) == 26
+        skipped = [json.loads(line)["type"]
+                   for line in OLD_TP_EVENT_LOG.splitlines()[1:]]
+        assert {t for t in skipped if t in DELETED_TYPES} == {
+            "SlotAligned", "HotAddressTouched", "StashOccupancy",
+            "BlockServed",
+        }
+        # RequestCompleted lines from before the root carried the serving
+        # level and the stash counts load with the defaults.
+        completed = [e for e in loaded if isinstance(e, RequestCompleted)]
+        assert [(e.op, e.level, e.stash_real, e.stash_shadow)
+                for e in completed] == [("dummy", -1, 0, 0),
+                                        ("read", -1, 0, 0)]
+        dummy, request = traces_from_events(loaded)
+        assert dummy.root.name == "dummy"
+        assert request.root.name == "request"
+        assert request.served_from == "path"
+        assert "stall" in {child.name for child in request.root.children}
 
 
 class TestTimelineCoverage:
@@ -178,13 +250,9 @@ class TestTimelineCoverage:
 
     @pytest.mark.parametrize(
         "event",
-        # RequestCompleted suppresses its op == "dummy" sample and
-        # BlockServed renders nothing (RequestCompleted draws its source),
-        # so assert output on the event types that render unconditionally.
-        [e for e in ALL_EVENTS
-         if type(e).__name__ not in (
-             "BlockServed", "RequestCompleted", "SlotAligned",
-         )],
+        # RunFinished renders nothing (the run's totals have no place on
+        # a timeline), so assert output on every other event type.
+        [e for e in ALL_EVENTS if type(e).__name__ != "RunFinished"],
         ids=lambda e: type(e).__name__,
     )
     def test_rendering_appends_trace_output(self, event):

@@ -3,7 +3,7 @@
 import json
 
 from repro.obs.events import (
-    BlockServed,
+    DuplicationPlaced,
     EventBus,
     RequestCompleted,
     SpanFinished,
@@ -19,9 +19,9 @@ from repro.obs.flightrec import (
 )
 
 
-def served(i):
-    return BlockServed(addr=i, op="read", source="path", level=2,
-                       onchip=False, core=-1, ts=float(i))
+def placed(i):
+    return DuplicationPlaced(addr=i, level=2, kind="rd", from_stash=False,
+                             ts=float(i))
 
 
 class TestRing:
@@ -29,7 +29,7 @@ class TestRing:
         bus = EventBus()
         rec = FlightRecorder(bus, capacity=10)
         for i in range(25):
-            bus.emit(served(i))
+            bus.emit(placed(i))
         events = rec.events()
         assert len(events) == 10
         assert events[0].addr == 15
@@ -40,9 +40,9 @@ class TestRing:
     def test_detach_stops_recording(self):
         bus = EventBus()
         rec = FlightRecorder(bus, capacity=10)
-        bus.emit(served(0))
+        bus.emit(placed(0))
         rec.detach()
-        bus.emit(served(1))
+        bus.emit(placed(1))
         assert len(rec.events()) == 1
 
 
@@ -51,7 +51,7 @@ class TestDump:
         bus = EventBus()
         rec = FlightRecorder(bus, capacity=100, directory=tmp_path)
         for i in range(5):
-            bus.emit(served(i))
+            bus.emit(placed(i))
         path = rec.dump("unit-test")
         assert path.parent == tmp_path
         assert is_postmortem(path)
@@ -67,10 +67,10 @@ class TestDump:
         # subscriber saw -- same events, same order, nothing invented.
         bus = EventBus()
         live = []
-        bus.subscribe(live.append, BlockServed)
+        bus.subscribe(live.append, DuplicationPlaced)
         rec = FlightRecorder(bus, capacity=8, directory=tmp_path)
         for i in range(30):
-            bus.emit(served(i))
+            bus.emit(placed(i))
         path = rec.dump("suffix-check")
         _, events = load_postmortem(path)
         assert [e.addr for e in events] == [e.addr for e in live[-8:]]

@@ -4,7 +4,7 @@ import io
 import json
 from random import Random
 
-from repro.obs.events import EventBus, SlotAligned
+from repro.obs.events import EventBus, PartitionAdjusted
 from repro.obs.log import (
     AdversaryTraceWriter,
     JsonlLogger,
@@ -37,23 +37,24 @@ class TestJsonlLogger:
         bus = EventBus()
         logger.attach(bus)
         logger.write_metadata(SystemConfig.tiny())
-        bus.emit(SlotAligned(ready=1.0, slot=2.0, wait=1.0))
-        bus.emit(SlotAligned(ready=3.0, slot=4.0, wait=1.0))
+        bus.emit(PartitionAdjusted(old_level=1, new_level=2, counter=3, ts=1.0))
+        bus.emit(PartitionAdjusted(old_level=2, new_level=3, counter=2, ts=4.0))
         lines = stream.getvalue().splitlines()
         assert len(lines) == logger.lines == 3
         records = [json.loads(line) for line in lines]
         assert records[0]["type"] == "run_metadata"
         assert records[1] == {
-            "type": "SlotAligned", "ready": 1.0, "slot": 2.0, "wait": 1.0,
+            "type": "PartitionAdjusted", "old_level": 1, "new_level": 2,
+            "counter": 3, "ts": 1.0,
         }
 
     def test_typed_attach_filters(self):
         stream = io.StringIO()
         logger = JsonlLogger(stream)
         bus = EventBus()
-        logger.attach(bus, SlotAligned)
-        bus.emit(SlotAligned(ready=0.0, slot=1.0, wait=1.0))
-        bus.emit(object())  # not a SlotAligned: filtered out
+        logger.attach(bus, PartitionAdjusted)
+        bus.emit(PartitionAdjusted(old_level=1, new_level=2, counter=3, ts=1.0))
+        bus.emit(object())  # not a PartitionAdjusted: filtered out
         assert logger.lines == 1
 
 

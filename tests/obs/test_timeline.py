@@ -2,10 +2,11 @@
 
 import io
 import json
+from collections import Counter
 
 import pytest
 
-from repro.obs.events import BlockServed, EventBus
+from repro.obs.events import EventBus
 from repro.obs.timeline import PID_CORES, PID_ORAM, TimelineBuilder
 from repro.oram.config import OramConfig
 from repro.system.config import SystemConfig
@@ -110,15 +111,21 @@ class TestChromeTraceExport:
             assert e["args"]["source"] in allowed
 
     def test_request_slices_name_the_serving_source(self):
-        """Each request slice's source is its BlockServed source."""
+        """The request slices per source match the controller's counts."""
         bus = EventBus()
         builder = TimelineBuilder(bus)
-        served = []
-        bus.subscribe(served.append, BlockServed)
-        simulate(CONFIG, "mcf", num_requests=4000, bus=bus)
-        slices = [e for e in builder.events
-                  if e["ph"] == "X" and e["pid"] == PID_CORES]
-        assert slices
-        assert [e["args"]["source"] for e in slices] == [
-            e.source for e in served
-        ]
+        config = SystemConfig.dynamic(
+            3, oram=OramConfig(levels=12)
+        ).with_timing_protection(800)
+        result = simulate(config, "h264ref", num_requests=6000, bus=bus)
+        sources = Counter(
+            e["args"]["source"] for e in builder.events
+            if e["ph"] == "X" and e["pid"] == PID_CORES
+        )
+        stats = result.oram_stats
+        assert len(sources) >= 3
+        assert sum(sources.values()) == result.llc_misses
+        assert sources["stash"] == stats.stash_hits
+        assert sources["shadow_stash"] == stats.shadow_stash_hits
+        assert sources["shadow_path"] == stats.shadow_path_serves
+        assert sources["treetop"] == stats.treetop_serves

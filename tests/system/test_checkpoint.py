@@ -4,6 +4,8 @@ import json
 
 import pytest
 
+from repro.obs.events import EventBus
+from repro.obs.metrics import MetricsCollector
 from repro.system.checkpoint import Checkpointer
 from repro.system.config import SystemConfig
 from repro.system.simulator import SystemSimulator, simulate
@@ -236,6 +238,43 @@ class TestSimulatorResume:
         # suffix of the uninterrupted one (same leaves, same times).
         assert res_events == ref_events[len(ref_events) - len(res_events):]
         assert len(res_events) > 0
+
+
+    @pytest.mark.parametrize("tp", [False, True], ids=["no-tp", "tp"])
+    def test_counters_survive_a_restore(self, tmp_path, tp):
+        """Counters read from the run's stats cover the whole run after
+        a restore, not only the accesses served after it.  Counters fed
+        by events (``duplication/from_stash``, ``checkpoint/*``,
+        ``oram/*``) still cover only the events they saw."""
+        config = small_config()
+        if tp:
+            config = config.with_timing_protection(800)
+        event_fed = ("duplication/from_stash", "checkpoint/", "oram/")
+
+        def counters(**kwargs):
+            bus = EventBus()
+            collector = MetricsCollector(bus)
+            simulate(config, "mcf", num_requests=REQUESTS, seed=1, bus=bus,
+                     **kwargs)
+            return {
+                name: value
+                for name, value in collector.to_dict()["counters"].items()
+                if not name.startswith(event_fed)
+            }
+
+        reference = counters()
+        with pytest.raises(_KilledAt):
+            simulate(
+                config, "mcf", num_requests=REQUESTS, seed=1,
+                backend_filter=lambda b: _KillingBackend(b, 41),
+                checkpointer=Checkpointer(tmp_path, every=5),
+            )
+        resumed = counters(
+            checkpointer=Checkpointer(tmp_path, every=5), restore=True
+        )
+        assert resumed == reference
+        assert reference["requests/data"] > 41
+        assert ("scheduler/slot_waits" in reference) == tp
 
 
 class TestRunKeyIsolation:
