@@ -10,7 +10,9 @@ shows RD-Dup removing.
 
 The scheduler also aggregates the Equation (1) decomposition: the busy
 time of real requests is *data access time*; dummy busy time and idle
-stretches land in the DRI.
+stretches land in the DRI.  A run ends when the controller frees after
+its last real request: every dummy it counts filled an empty slot
+before some real request launched.
 """
 
 from __future__ import annotations
@@ -107,22 +109,3 @@ class RequestScheduler:
         self.dummy_requests = state["dummy_requests"]
         self.data_busy = state["data_busy"]
         self.dummy_busy = state["dummy_busy"]
-
-    def drain(self, until: float) -> None:
-        """Fire the dummy requests owed up to cycle ``until`` (end of run).
-
-        Keeps the constant-rate property up to the last real completion so
-        run-length comparisons between schemes stay fair.
-        """
-        if not self.timing.enabled:
-            return
-        rate = self.timing.rate_cycles
-        while True:
-            slot = max(self.next_slot, self.controller_free)
-            if slot >= until:
-                return
-            self.next_slot = slot + rate
-            result = self.controller.dummy_access(slot)
-            self.controller_free = result.finish
-            self.dummy_busy += result.finish - slot
-            self.dummy_requests += 1

@@ -102,13 +102,6 @@ class TestWithProtection:
         sched.launch_real(900.0)
         assert sched.dummy_busy == 600.0
 
-    def test_drain_fires_remaining_slots(self):
-        ctl, sched = self._sched()
-        sched.launch_real(0.0)
-        sched.complete_real(0.0, 100.0)
-        sched.drain(2500.0)
-        assert ctl.dummy_times == [800.0, 1600.0, 2400.0]
-
 
 class TestWithRealController:
     def test_dummy_requests_hit_real_oram(self):
