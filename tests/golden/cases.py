@@ -53,8 +53,9 @@ Baseline cases digest the same four fields as the simulation cases (no
 ``merkle_root``) for the baselines and comparators of Figs. 11 and
 16-18 on h264ref, built as ``benchmarks/_support.make_config`` builds
 them (L=14, utilization 0.25): the insecure DRAM backend, Tiny with
-treetop-3 and Tiny with XOR compression under timing protection, and
-dynamic-3 on the 4-core O3 CPU under timing protection.
+treetop-3, Tiny and dynamic-3 each with treetop-7, and Tiny with XOR
+compression, all four under timing protection, and dynamic-3 on the
+4-core O3 CPU under timing protection.
 
 Metrics cases pin every counter, gauge and histogram of
 :meth:`MetricsCollector.to_dict() <repro.obs.metrics.MetricsCollector.to_dict>`
@@ -150,6 +151,10 @@ def _baseline_configs() -> dict[str, SystemConfig]:
     return {
         "insecure": _figure_config("insecure"),
         "tiny-treetop-3-tp800": _figure_config("tiny", tp=True, treetop=3),
+        "tiny-treetop-7-tp800": _figure_config("tiny", tp=True, treetop=7),
+        "dynamic-3-treetop-7-tp800": _figure_config(
+            "dynamic-3", tp=True, treetop=7
+        ),
         "tiny-xor-tp800": _figure_config("tiny", tp=True, xor=True),
         "dynamic-3-o3-tp800": _figure_config("dynamic-3", tp=True, o3=True),
     }
