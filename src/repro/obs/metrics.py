@@ -249,6 +249,12 @@ LATENCY_BUCKETS = [
     50.0, 100.0, 200.0, 500.0, 1_000.0, 2_000.0, 5_000.0,
     10_000.0, 20_000.0, 50_000.0, 100_000.0,
 ]
+#: Wall-clock served-latency ladder (milliseconds): the server's
+#: ``serve/latency_wall_ms``, the SLO monitor and the load generator.
+WALL_MS_BUCKETS = [
+    0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0,
+    200.0, 500.0, 1_000.0, 2_000.0, 5_000.0,
+]
 LEVEL_BUCKETS = [float(level) for level in range(33)]
 OCCUPANCY_BUCKETS = [0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0]
 DRI_BUCKETS = LATENCY_BUCKETS

@@ -28,17 +28,11 @@ import time
 from collections import deque
 
 from repro.obs.events import EventBus, SloStateChanged
-from repro.obs.metrics import LATENCY_BUCKETS, Histogram
+from repro.obs.metrics import LATENCY_BUCKETS, WALL_MS_BUCKETS, Histogram
 
 STATE_HEALTHY = "healthy"
 STATE_DEGRADED = "degraded"
 STATE_BREACHED = "breached"
-
-#: Wall-clock ladder mirrored from the server (import cycle keeps it here).
-SLO_WALL_MS_BUCKETS = [
-    0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0,
-    200.0, 500.0, 1_000.0, 2_000.0, 5_000.0,
-]
 
 #: Threshold key -> (dimension, percentile-or-None).  ``*_ms`` keys
 #: evaluate against wall-clock milliseconds, ``*_cycles`` against the
@@ -97,7 +91,7 @@ class SloWindow:
     __slots__ = ("wall", "cycles", "admitted", "shed", "queue_peak")
 
     def __init__(self) -> None:
-        self.wall = Histogram(SLO_WALL_MS_BUCKETS)
+        self.wall = Histogram(WALL_MS_BUCKETS)
         self.cycles = Histogram(LATENCY_BUCKETS)
         self.admitted = 0
         self.shed = 0
@@ -178,7 +172,7 @@ class SloMonitor:
     # Evaluation
     # ------------------------------------------------------------------
     def _merged(self) -> tuple[Histogram, Histogram, int, int, int]:
-        wall = Histogram(SLO_WALL_MS_BUCKETS)
+        wall = Histogram(WALL_MS_BUCKETS)
         cycles = Histogram(LATENCY_BUCKETS)
         admitted = shed = queue_peak = 0
         for window in self._ring:

@@ -32,9 +32,8 @@ import random
 from dataclasses import dataclass
 
 from repro.faults.injector import FaultInjector
-from repro.obs.metrics import Histogram
+from repro.obs.metrics import WALL_MS_BUCKETS, Histogram
 from repro.serve import protocol
-from repro.serve.server import WALL_MS_BUCKETS
 from repro.workloads.generator import ZipfSampler
 
 

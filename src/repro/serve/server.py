@@ -69,7 +69,7 @@ from repro.faults.injector import (
 from repro.obs.events import EventBus, ServeRequestServed
 from repro.obs.export import MetricsEndpoint
 from repro.obs.flightrec import FlightRecorder
-from repro.obs.metrics import LATENCY_BUCKETS, MetricsRegistry
+from repro.obs.metrics import LATENCY_BUCKETS, WALL_MS_BUCKETS, MetricsRegistry
 from repro.obs.slo import STATE_HEALTHY, SloMonitor
 from repro.oram.tiny import Observer
 from repro.serialize import payload_to_jsonable
@@ -78,12 +78,6 @@ from repro.serve.scheduler_bridge import OramServeBridge
 from repro.serve.session import Session
 from repro.system.checkpoint import Checkpointer
 from repro.system.config import SystemConfig
-
-#: Wall-clock served-latency ladder (milliseconds).
-WALL_MS_BUCKETS = [
-    0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0,
-    200.0, 500.0, 1_000.0, 2_000.0, 5_000.0,
-]
 
 _DRAIN = object()
 
