@@ -1,7 +1,9 @@
 """Span-trace analysis: phase attribution and per-request breakdowns.
 
 This module is the reporting half of :mod:`repro.obs.spans`: given the
-JSONL trace file a ``repro run --spans`` invocation wrote, it produces
+traces :func:`~repro.obs.spans.load_traces` read from a ``repro run
+--spans`` file, a ``--events`` log or a flight-recorder post-mortem,
+:func:`analyze` computes
 
 * a **phase attribution report** — exclusive cycles per phase across all
   traces (cycle-exact: per trace the exclusive times sum to the root
@@ -15,15 +17,18 @@ JSONL trace file a ``repro run --spans`` invocation wrote, it produces
   and cycle-exact rules of :func:`~repro.obs.spans.validate_trace`;
 * the **top-K slowest requests**, each rendered as an ASCII span tree.
 
-``python -m repro trace analyze`` is a thin CLI shell over
-:func:`analyze`; tests drive the same entry point.  ``python -m repro
-profile`` is :func:`host_profile`: a span-traced run whose trees are
-folded into per-phase host seconds as they finish.
+:func:`analyze` returns the ``--json`` payload; :func:`render_report`
+renders that payload as text and computes nothing of its own.  ``python
+-m repro trace analyze`` is a thin CLI shell over the two; tests drive
+the same entry point.  ``python -m repro profile`` is
+:func:`host_profile`: a span-traced run whose trees are folded into
+per-phase host seconds as they finish.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import fsum
 from time import perf_counter
 
 from repro.analysis.report import format_table
@@ -240,38 +245,34 @@ def analyze(
     }
 
 
-def render_report(
-    traces: list[SpanTrace], top: int = 5, host: bool = True
-) -> tuple[str, bool]:
-    """Human-readable analysis; returns ``(text, invariants_ok)``.
+def render_report(payload: dict[str, object]) -> str:
+    """Human-readable rendering of an :func:`analyze` payload.
 
-    ``host`` as in :func:`analyze`.
+    The text report and ``--json`` come from one computation.  Host
+    seconds appear when the payload carries them.
     """
     sections: list[str] = []
-    kinds: dict[str, int] = {}
-    for trace in traces:
-        kinds[trace.kind] = kinds.get(trace.kind, 0) + 1
-    summary = ", ".join(f"{n} {k}" for k, n in sorted(kinds.items()))
-    sections.append(f"{len(traces)} trace(s): {summary or 'none'}")
+    summary = ", ".join(f"{n} {k}" for k, n in payload["kinds"].items())
+    sections.append(f"{payload['traces']} trace(s): {summary or 'none'}")
 
-    phases = phase_attribution(traces)
-    total = sum(phases.values(), start=Fraction(0))
-    seconds = host_by_phase(traces) if host else {}
-    host_total = sum(seconds.values())
+    phases = payload["phase_attribution"]
+    host = all("host_seconds" in row for row in phases.values())
+    total = fsum(row["exclusive_cycles"] for row in phases.values())
     rows = []
-    for phase, excl in sorted(phases.items(), key=lambda kv: -kv[1]):
-        row = [
+    for phase, row in phases.items():
+        cells = [
             phase,
-            f"{float(excl):,.0f}",
-            f"{float(excl / total):.1%}" if total else "-",
+            f"{row['exclusive_cycles']:,.0f}",
+            f"{row['share']:.1%}" if total else "-",
         ]
         if host:
-            row.append(f"{seconds[phase]:.4f}")
-        rows.append(row + [SPAN_PHASES.get(phase, "")])
-    totals = ["total", f"{float(total):,.0f}", "100.0%"]
+            cells.append(f"{row['host_seconds']:.4f}")
+        rows.append(cells + [row["meaning"]])
+    totals = ["total", f"{total:,.0f}", "100.0%"]
     headers = ["phase", "exclusive cycles", "share"]
     title = "Phase attribution (exclusive cycles, cycle-exact)"
     if host:
+        host_total = fsum(row["host_seconds"] for row in phases.values())
         totals.append(f"{host_total:.4f}")
         headers.append("host s")
         title = (
@@ -281,45 +282,47 @@ def render_report(
     rows.append(totals + [""])
     sections.append(format_table(headers + ["covers"], rows, title=title))
 
-    hists = latency_histograms(traces)
-    if hists:
+    latency = payload["latency_by_source"]
+    if latency:
         rows = [
             [
                 source,
-                hist.total,
-                f"{hist.mean:,.0f}",
-                f"{hist.percentile(50):,.0f}",
-                f"{hist.percentile(95):,.0f}",
-                f"{hist.percentile(99):,.0f}",
+                hist["total"],
+                f"{hist['mean']:,.0f}",
+                f"{hist['p50']:,.0f}",
+                f"{hist['p95']:,.0f}",
+                f"{hist['p99']:,.0f}",
             ]
-            for source, hist in sorted(hists.items())
+            for source, hist in latency.items()
         ]
         sections.append(format_table(
             ["served from", "requests", "mean", "p50", "p95", "p99"], rows,
             title="Request latency breakdown (cycles, by serving source)",
         ))
 
-    failures = audit(traces)
-    if failures:
+    invariant = payload["invariant"]
+    if invariant["violations"]:
         lines = [
-            f"INVARIANT VIOLATIONS: {len(failures)} of {len(traces)} "
-            "trace(s) failed validation"
+            f"INVARIANT VIOLATIONS: {invariant['violations']} of "
+            f"{invariant['checked']} trace(s) failed validation"
         ]
-        for trace, problems in failures[:10]:
-            lines.append(f"  trace #{trace.trace_id}: {problems[0]}")
+        for failure in invariant["problems"][:10]:
+            lines.append(
+                f"  trace #{failure['trace_id']}: {failure['problems'][0]}"
+            )
         sections.append("\n".join(lines))
     else:
         sections.append(
-            f"invariant check: all {len(traces)} trace(s) satisfy "
+            f"invariant check: all {invariant['checked']} trace(s) satisfy "
             "sum(exclusive) == root duration (cycle-exact)"
         )
 
-    slowest = top_slowest(traces, top)
+    slowest = payload["top_slowest"]
     if slowest:
         lines = [f"Top {len(slowest)} slowest request(s):"]
         for trace in slowest:
-            lines.append(render_tree(trace))
+            lines.append(render_tree(SpanTrace.from_dict(trace)))
             lines.append("")
         sections.append("\n".join(lines).rstrip())
 
-    return "\n\n".join(sections), not failures
+    return "\n\n".join(sections)

@@ -537,33 +537,26 @@ def cmd_faults(args: argparse.Namespace) -> int:
 
 def cmd_trace_analyze(args: argparse.Namespace) -> int:
     from repro.analysis import spans_report
-    from repro.obs.flightrec import is_postmortem, load_postmortem_traces
     from repro.obs.spans import load_traces
 
-    # Flight-recorder post-mortems carry raw bus events, not span trees;
-    # rebuild whatever complete request spans the crash window holds.
-    # Their wall stamps date from the replay, so host seconds are left out.
-    postmortem = is_postmortem(args.file)
-    if postmortem:
-        traces = load_postmortem_traces(args.file)
+    traces, events = load_traces(args.file)
+    if not traces:
+        why = (f"none of its {events} event(s) completes a span trace"
+               if events else "it holds no span tree and no event")
+        raise SystemExit(f"trace analyze: no trace in {args.file}: {why}")
+    # Spans replayed from events are stamped as they replay, not as the
+    # run went, so host seconds are left out.
+    if events:
         # On stderr under --json, so stdout stays one JSON document.
-        print(f"post-mortem dump: rebuilt {len(traces)} complete span "
-              f"trace(s) from the flight-recorder ring",
+        print(f"rebuilt {len(traces)} complete span trace(s) from the "
+              f"{events} event(s) in {args.file}",
               file=sys.stderr if args.json else sys.stdout)
-    else:
-        traces = load_traces(args.file)
+    payload = spans_report.analyze(traces, top=args.top, host=not events)
     if args.json:
-        payload = spans_report.analyze(
-            traces, top=args.top, host=not postmortem
-        )
         print(json.dumps(payload, indent=2))
-        violations = payload["invariant"]["violations"]
-        return 0 if violations == 0 else EXIT_TRACE_INVALID
-    text, ok = spans_report.render_report(
-        traces, top=args.top, host=not postmortem
-    )
-    print(text)
-    return 0 if ok else EXIT_TRACE_INVALID
+    else:
+        print(spans_report.render_report(payload))
+    return EXIT_TRACE_INVALID if payload["invariant"]["violations"] else 0
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
@@ -972,11 +965,13 @@ def make_parser() -> argparse.ArgumentParser:
     analyze_p = trace_sub.add_parser(
         "analyze",
         help="phase attribution, latency breakdown, invariant audit and "
-             "top-K slowest requests from a --spans JSONL file; exits "
-             f"{EXIT_TRACE_INVALID} if any span tree violates the "
-             "cycle-exact exclusive-time invariant",
+             "top-K slowest requests from a --spans file, an --events log "
+             "or a flight-recorder post-mortem; exits 1 if the file holds "
+             f"no trace and {EXIT_TRACE_INVALID} if any span tree "
+             "violates the cycle-exact exclusive-time invariant",
     )
-    analyze_p.add_argument("file", help="JSONL file written by run --spans")
+    analyze_p.add_argument("file", help="JSONL file written by run --spans "
+                                        "or --events, or a post-mortem")
     analyze_p.add_argument("--top", type=int, default=5, metavar="K",
                            help="slowest requests to render as span trees")
     analyze_p.add_argument("--json", action="store_true",

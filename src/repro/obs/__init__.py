@@ -12,7 +12,8 @@ reports about itself.  The components:
   (:class:`~repro.obs.spans.SpanTracer`); the one host-time instrument,
   which ``repro trace analyze`` and ``repro profile`` report from;
 * :mod:`repro.obs.timeline` — Chrome trace-event (Perfetto) export;
-* :mod:`repro.obs.log` — JSONL structured logging with run metadata;
+* :mod:`repro.obs.log` — JSONL structured logging with run metadata,
+  and the one event-log reader;
 * :mod:`repro.obs.aggregate` — cross-process telemetry snapshots and the
   per-worker/rollup merge used by parallel sweeps and shard fleets;
 * :mod:`repro.obs.progress` — live sweep progress (TTY status line and
@@ -21,8 +22,8 @@ reports about itself.  The components:
   serving layer's healthy/degraded/breached state machine;
 * :mod:`repro.obs.export` — Prometheus text-format / newline-JSON
   metrics rendering and the ``--metrics-port`` scrape endpoint;
-* :mod:`repro.obs.flightrec` — the bounded crash flight recorder whose
-  post-mortem dumps ``repro trace analyze`` replays.
+* :mod:`repro.obs.flightrec` — the bounded crash flight recorder, whose
+  post-mortem dumps are event logs that ``repro trace analyze`` replays.
 
 Observability is strictly opt-in: with no subscribers attached the
 instrumented hot paths reduce to one attribute test per emission site

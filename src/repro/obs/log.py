@@ -2,9 +2,10 @@
 
 One JSON object per line: the first line of a run log is a
 ``run_metadata`` record (scheme, geometry, seed, git revision, python
-version), followed by one record per bus event.  The format is
-grep/`jq`-friendly and append-safe, so long simulations can stream their
-event log to disk instead of holding it in memory.
+version), followed by one record per bus event.  A flight-recorder
+post-mortem is the same format under a ``postmortem`` header.  The
+format is grep/`jq`-friendly and append-safe, so long simulations can
+stream their event log to disk instead of holding it in memory.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import json
 import os
 import platform
 import subprocess
-from typing import IO
+from typing import IO, Iterable
 
 from repro.obs.events import EVENT_BY_NAME, EventBus, event_from_dict, event_to_dict
 
@@ -68,16 +69,22 @@ def run_metadata(
     return meta
 
 
-def load_events(stream: IO[str]) -> list[object]:
+def load_events(
+    stream: Iterable[str], skipped: list[dict] | None = None
+) -> list[object]:
     """Rebuild the typed events from a :class:`JsonlLogger` stream.
 
-    The inverse of the JSONL flattening: every line whose ``type`` names
-    a known event dataclass becomes that dataclass again; other records
-    (the ``run_metadata`` header, adversary ``path_access`` lines, blank
-    lines) are skipped, so any log the CLI writes loads cleanly.  A
-    ``type`` this code does not define is skipped too, not raised: a log
-    written by older code may hold event types since deleted, and one
-    written by newer code types not yet known.
+    The one event-log reader: a ``repro run --events`` log and a
+    flight-recorder post-mortem both load here.  Every line whose
+    ``type`` names a known event dataclass becomes that dataclass again;
+    other records (the ``run_metadata`` or ``postmortem`` header,
+    adversary ``path_access`` lines) are skipped, and appended to
+    ``skipped`` when given, so any log the CLI writes loads cleanly.
+    Blank lines are ignored.  A ``type`` this code does not define is
+    skipped too, not raised: a log written by older code may hold event
+    types since deleted, and one written by newer code types not yet
+    known.  Event logs carry no schema number: they are versioned by
+    event type, and fields a record lacks take their defaults.
     :func:`~repro.obs.events.event_from_dict` alone raises on an unknown
     type.
     """
@@ -89,6 +96,8 @@ def load_events(stream: IO[str]) -> list[object]:
         payload = json.loads(line)
         if payload.get("type") in EVENT_BY_NAME:
             events.append(event_from_dict(payload))
+        elif skipped is not None:
+            skipped.append(payload)
     return events
 
 

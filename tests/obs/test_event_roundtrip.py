@@ -20,8 +20,8 @@ from repro.obs.events import (
     event_from_dict,
     event_to_dict,
 )
-from repro.obs.flightrec import load_postmortem, traces_from_events
 from repro.obs.log import JsonlLogger, load_events, run_metadata
+from repro.obs.spans import traces_from_events
 from repro.obs.timeline import TimelineBuilder
 
 # Synthetic field values per annotation (events use simple scalar types).
@@ -206,7 +206,10 @@ class TestLogsFromOlderCode:
     def test_postmortem_skips_deleted_types(self, tmp_path):
         path = tmp_path / "postmortem.jsonl"
         path.write_text(OLD_POSTMORTEM)
-        meta, events = load_postmortem(path)
+        skipped = []
+        with open(path) as stream:
+            events = load_events(stream, skipped)
+        meta = skipped[0]["meta"]
         assert meta["kind"] == "flight-recorder" and meta["captured"] == 12
         assert events == kept_events(OLD_POSTMORTEM) and len(events) == 8
 

@@ -9,14 +9,9 @@ from repro.obs.events import (
     SpanFinished,
     SpanStarted,
 )
-from repro.obs.flightrec import (
-    POSTMORTEM_SCHEMA,
-    FlightRecorder,
-    is_postmortem,
-    load_postmortem,
-    load_postmortem_traces,
-    traces_from_events,
-)
+from repro.obs.flightrec import FlightRecorder
+from repro.obs.log import load_events
+from repro.obs.spans import load_traces, traces_from_events
 
 
 def placed(i):
@@ -54,12 +49,15 @@ class TestDump:
             bus.emit(placed(i))
         path = rec.dump("unit-test")
         assert path.parent == tmp_path
-        assert is_postmortem(path)
-        meta, events = load_postmortem(path)
-        assert meta["kind"] == "flight-recorder"
-        assert meta["schema"] == POSTMORTEM_SCHEMA
-        assert meta["reason"] == "unit-test"
-        assert meta["captured"] == 5
+        # An event log under a header record whose type names no event.
+        header = json.loads(path.read_text().splitlines()[0])
+        assert header == {
+            "type": "postmortem", "reason": "unit-test",
+            "time": header["time"], "captured": 5, "dropped": 0,
+            "capacity": 100,
+        }
+        with open(path) as stream:
+            events = load_events(stream)
         assert [e.addr for e in events] == [0, 1, 2, 3, 4]
 
     def test_dump_suffix_matches_live_bus_stream(self, tmp_path):
@@ -72,14 +70,9 @@ class TestDump:
         for i in range(30):
             bus.emit(placed(i))
         path = rec.dump("suffix-check")
-        _, events = load_postmortem(path)
+        with open(path) as stream:
+            events = load_events(stream)
         assert [e.addr for e in events] == [e.addr for e in live[-8:]]
-
-    def test_is_postmortem_rejects_other_files(self, tmp_path):
-        other = tmp_path / "spans.jsonl"
-        other.write_text(json.dumps({"type": "SpanStarted"}) + "\n")
-        assert not is_postmortem(other)
-        assert not is_postmortem(tmp_path / "missing.jsonl")
 
 
 def span_cycle(trace_addr, root="request"):
@@ -137,7 +130,8 @@ class TestTraceReplay:
         for event in span_cycle(11) + span_cycle(12):
             bus.emit(event)
         path = rec.dump("replay")
-        traces = load_postmortem_traces(path)
+        traces, events = load_traces(path)
+        assert events == 10
         assert [t.root.addr for t in traces] == [11, 12]
         # The rebuilt trace satisfies the cycle-exact invariant the
         # analyzer enforces.

@@ -267,7 +267,8 @@ class TestJsonlRoundTrip:
         meta = json.loads(lines[0])["meta"]
         assert meta["traces"] == len(tracer.traces)
         buffer.seek(0)
-        reloaded = load_traces(buffer)
+        reloaded, events = load_traces(buffer)
+        assert events == 0
         assert len(reloaded) == len(tracer.traces)
         for a, b in zip(tracer.traces, reloaded):
             assert a.to_dict() == b.to_dict()
@@ -278,7 +279,7 @@ class TestJsonlRoundTrip:
         buffer = io.StringIO()
         tracer.write_jsonl(buffer)
         buffer.seek(0)
-        reloaded = load_traces(buffer)
+        reloaded, _ = load_traces(buffer)
         for a, b in zip(tracer.traces, reloaded):
             assert exclusive_by_phase(a.root) == exclusive_by_phase(b.root)
 

@@ -7,12 +7,14 @@ deterministic.
 """
 
 import asyncio
+import json
 import urllib.request
 
 from repro.exit_codes import EXIT_SLO_BREACH
 from repro.faults.injector import FaultPlan
 from repro.obs.events import EventBus, ServeRequestServed
-from repro.obs.flightrec import FlightRecorder, load_postmortem
+from repro.obs.flightrec import FlightRecorder
+from repro.obs.log import load_events
 from repro.obs.slo import STATE_HEALTHY
 from repro.oram.config import OramConfig
 from repro.serve import protocol
@@ -184,8 +186,9 @@ class TestFlightRecorderIntegration:
             assert code != 0
             assert server.crashed is not None
             assert server.postmortem_path is not None
-            meta, events = load_postmortem(server.postmortem_path)
-            assert meta["reason"] == "crash"
+            lines = server.postmortem_path.read_text().splitlines()
+            assert json.loads(lines[0])["reason"] == "crash"
+            events = load_events(lines)
             # The dump's served-request events are exactly the suffix of
             # the live bus stream (here: all of them).
             dumped = [e for e in events
